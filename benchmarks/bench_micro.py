@@ -1,9 +1,14 @@
 """Micro-benchmarks of the core primitives (multi-round, statistical).
 
 These complement the one-shot experiment benchmarks: BST construction, the
-two BSTCE engines (per-query and batched), Top-k node throughput, and
-entropy discretization, all on the scaled ALL profile's given-training
-split.
+BSTCE engines (the vectorized kernel on one query and on a batch, and the
+reference), Top-k node throughput, and entropy discretization, all on the
+scaled ALL profile's given-training split.
+
+Kernel and serving speed is gated by absolute numbers (ms, q/s, bytes),
+each bounded by the value measured on a 2-CPU reference machine (Python
+3.11, numpy 2.4) when the gate was introduced, with 1.35x slack; see
+``_REFERENCE``.
 
 The ``test_bitset_*_speedup`` pair gates the packed-bitset substrate: the
 set-based reference implementations the kernel replaced are kept here, the
@@ -17,7 +22,6 @@ import json
 import os
 import threading
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -32,7 +36,6 @@ from repro.core.fast import (
     clear_evaluator_cache,
     get_evaluator,
 )
-from repro.core.plan import tables_hot_nbytes
 from repro.datasets.dataset import RelationalDataset
 from repro.datasets.discretize import EntropyDiscretizer
 from repro.datasets.profiles import scaled
@@ -42,6 +45,38 @@ from repro.evaluation.latency import LatencyHistogram
 from repro.serving import ModelRegistry, PredictionService, ServeConfig
 
 BENCH_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
+#: Reference-machine measurements behind the absolute gates: the value
+#: each metric had when its gate was introduced.  Times and byte counts
+#: may not exceed ``_SLACK`` x (bytes: 1x) their reference, rates may not
+#: fall below reference / ``_SLACK``.  The bounds are enforced outside
+#: REPRO_BENCH_SMOKE only (the smoke profiles are smaller, and shared CI
+#: runners are not the reference machine).
+_REFERENCE = {
+    "batched_bstce_ms_per_query": 0.0688,
+    "plan_kernel_batch_ms": 522.3,
+    "plan_hot_bytes": 28_851_506,
+    "artifact_cold_start_ms": 61.1,
+    "service_threaded_qps": 29.7,
+    "registry_aggregate_qps": 58.2,
+}
+_SLACK = 1.35
+
+
+def _gate_at_most(key, value, slack=_SLACK):
+    """Record ``value`` and fail it above ``slack`` x its reference."""
+    _BENCH_RECORD[key] = value
+    bound = _REFERENCE[key] * slack
+    if not BENCH_SMOKE:
+        assert value <= bound, f"{key} = {value:.4g}, bound {bound:.4g}"
+
+
+def _gate_at_least(key, value, slack=_SLACK):
+    """Record ``value`` and fail it below its reference / ``slack``."""
+    _BENCH_RECORD[key] = value
+    bound = _REFERENCE[key] / slack
+    if not BENCH_SMOKE:
+        assert value >= bound, f"{key} = {value:.4g}, bound {bound:.4g}"
 
 #: Speedup trajectory collected by the gating benchmarks and written to
 #: BENCH_micro.json at module teardown (CI uploads it as a build artifact,
@@ -100,13 +135,13 @@ def test_fast_engine_batch(benchmark, pipeline):
     assert 0.0 <= values.min() <= values.max() <= 1.0
 
 
-def test_batched_throughput_speedup(pipeline):
-    """The acceptance bar: batched prediction must deliver >= 3x the
-    per-query throughput on the paper-scale synthetic profile, while the
-    batched, per-query, and reference engines agree.
+def test_batched_throughput(pipeline):
+    """Batched BSTCE ms/query on the scaled ALL profile, bounded in
+    absolute terms, while single-query calls equal their batch rows bit
+    for bit and the batch agrees with the reference engine.
 
     The workload tiles the held-out queries to a serving-sized batch and
-    takes the best of three timed repetitions of each path, so the ratio
+    takes the best of three timed repetitions of each path, so the number
     measures steady-state throughput rather than first-call overhead.
     """
     _, rel_train, queries = pipeline
@@ -128,24 +163,22 @@ def test_batched_throughput_speedup(pipeline):
         batch = evaluator.classification_values_batch(workload)
         batch_seconds = min(batch_seconds, time.perf_counter() - start)
 
-    np.testing.assert_allclose(batch, serial, atol=1e-5)
+    # A single query is a batch of one, and a query's row does not depend
+    # on its batchmates: exact, never relaxed.
+    assert np.array_equal(batch, serial)
     bst = BST.build(rel_train, 0)
     for i in (0, len(queries) // 2, len(queries) - 1):
         assert batch[i, 0] == pytest.approx(
             bstce(bst, queries[i]), abs=1e-5
         )
 
-    speedup = serial_seconds / batch_seconds
-    _BENCH_RECORD["batched_bstce_speedup"] = speedup
-    per_query_qps = len(workload) / serial_seconds
-    batched_qps = len(workload) / batch_seconds
+    ms_per_query = batch_seconds / len(workload) * 1e3
     print(
-        f"\nbatched BSTCE: {batched_qps:.0f} q/s vs per-query"
-        f" {per_query_qps:.0f} q/s ({speedup:.1f}x)"
+        f"\nbatched BSTCE: {ms_per_query:.3f} ms/query"
+        f" ({len(workload) / batch_seconds:.0f} q/s) vs single queries"
+        f" {serial_seconds / len(workload) * 1e3:.3f} ms/query"
     )
-    assert speedup >= 3.0, (
-        f"batched throughput only {speedup:.2f}x the per-query path"
-    )
+    _gate_at_most("batched_bstce_ms_per_query", ms_per_query)
 
 
 def test_reference_engine_query(benchmark, pipeline):
@@ -312,53 +345,33 @@ def test_bitset_closure_speedup(kernel_workload):
 
 
 # ----------------------------------------------------------------------
-# Compiled evaluation plans vs the legacy per-class table kernel
+# The compiled-plan kernel on the sparse serving profile
 # ----------------------------------------------------------------------
 
 
-def test_plan_kernel_speedup():
-    """The compiled-plan acceptance bar: the structure-of-arrays arena
-    kernel must deliver >= 1.5x the batched throughput of the legacy
-    ``_ClassTables`` kernel on the sparse serving profile, bit for bit.
+def test_plan_kernel_latency():
+    """Plan-kernel ms per 64-query batch and arena hot bytes on the sparse
+    serving profile, both bounded in absolute terms.
 
     The workload is the regime the plan layer was built for — wide
     vocabularies (thousands of items) probed by sparse queries (tens of
-    expressed genes each), where the legacy kernel pays full-width
-    matmuls and the plan kernel restricts each inner product to the
-    query's own expressed columns.  Both paths answer the identical
-    batch and the outputs are compared with ``np.array_equal`` (always
-    gating, even under REPRO_BENCH_SMOKE); the timing gate and the
-    profile size relax in smoke mode.
-
-    Two more plan invariants ride along: the arena must be strictly
-    smaller than the per-class tables it replaced (the bytes-per-query
-    reduction the downcast dtypes exist for), and per-batch kernel
-    latency percentiles are recorded into BENCH_micro.json via
-    ``LatencyHistogram`` so tail regressions show up across commits.
+    expressed genes each), where each inner product is restricted to the
+    query's own expressed columns.  The arena may not grow past its
+    reference size, and per-batch kernel latency percentiles are recorded
+    into BENCH_micro.json via ``LatencyHistogram`` so tail regressions show
+    up across commits.
     """
     if BENCH_SMOKE:
         n_samples, n_items, n_batches = 150, 600, 4
     else:
         n_samples, n_items, n_batches = 500, 3000, 12
     dataset = _serving_dataset(n_samples, n_items, 3, 0.3, seed=11)
-    legacy = FastBSTCEvaluator(dataset, compile_plan=False)
     planned = FastBSTCEvaluator(dataset)
     rng = np.random.default_rng(12)
     batch = rng.random((64, n_items)) < 30 / n_items  # sparse queries
-
-    legacy_values = legacy.classification_values_batch(batch)
-    plan_values = planned.classification_values_batch(batch)
-    # Bit-identity gate, never relaxed: the plan kernel is a pure
-    # refactoring of the arithmetic, not an approximation of it.
-    assert np.array_equal(plan_values, legacy_values)
-
-    plan_bytes = planned.plan.hot_nbytes()
-    table_bytes = tables_hot_nbytes(legacy._tables)
-    _BENCH_RECORD["plan_hot_bytes_ratio"] = plan_bytes / table_bytes
-    assert plan_bytes < table_bytes, (
-        f"arena ({plan_bytes} B) not smaller than the legacy tables"
-        f" ({table_bytes} B)"
-    )
+    values = planned.classification_values_batch(batch)
+    # Exact, never relaxed: the first query alone equals its batch row.
+    assert np.array_equal(planned.classification_values(batch[0]), values[0])
 
     histogram = LatencyHistogram()
 
@@ -368,28 +381,16 @@ def test_plan_kernel_speedup():
             planned.classification_values_batch(batch)
             histogram.record(time.perf_counter() - start)
 
-    legacy_seconds = _best_of(
-        3,
-        lambda: [
-            legacy.classification_values_batch(batch)
-            for _ in range(n_batches)
-        ],
-    )
     plan_seconds = _best_of(3, run_planned)
-
-    speedup = legacy_seconds / plan_seconds
-    _BENCH_RECORD["plan_kernel_speedup"] = speedup
+    batch_ms = plan_seconds / n_batches * 1e3
+    plan_bytes = planned.plan.hot_nbytes()
     _BENCH_RECORD["plan_kernel_batch_latency_ms"] = histogram.to_dict()
     print(
-        f"\ncompiled plan: {plan_seconds * 1e3:.1f}ms vs legacy tables"
-        f" {legacy_seconds * 1e3:.1f}ms per {n_batches} batches"
-        f" ({speedup:.1f}x, arena {plan_bytes / table_bytes:.2f}x the"
-        " table bytes)"
+        f"\ncompiled plan: {batch_ms:.1f} ms per 64-query batch,"
+        f" arena {plan_bytes} B"
     )
-    if not BENCH_SMOKE:
-        assert speedup >= 1.5, (
-            f"compiled plan kernel only {speedup:.2f}x the legacy tables"
-        )
+    _gate_at_most("plan_hot_bytes", float(plan_bytes), slack=1.0)
+    _gate_at_most("plan_kernel_batch_ms", batch_ms)
 
 
 # ----------------------------------------------------------------------
@@ -408,20 +409,21 @@ def _serving_dataset(n_samples, n_items, n_classes, density, seed):
 
 
 def test_artifact_cold_start_speedup(tmp_path):
-    """Cold start from a model artifact vs rebuilding the evaluator tables.
+    """Cold start from a model artifact vs rebuilding the evaluator.
 
     The serving path the artifact subsystem exists for: a fresh process gets
     one query and must answer it.  The rebuild side pays the full
-    ``FastBSTCEvaluator`` table construction (dense per-class matmuls over
-    the training matrix) plus the first batch; the artifact side memory-maps
-    the precompiled tables and pays only the first batch.  Gate: load+first
+    ``FastBSTCEvaluator`` plan compile (dense per-class matmuls over the
+    training matrix) plus the first batch; the artifact side memory-maps
+    the compiled arena and pays only the first batch.  Gate: load+first
     >= 5x faster than rebuild+first (best of 3 cold starts each; under
-    REPRO_BENCH_SMOKE the profile shrinks and only bit-identity gates).
+    REPRO_BENCH_SMOKE the profile shrinks and only bit-identity gates), and
+    load+first itself bounded in ms (``artifact_cold_start_ms``).
 
     The 5x gate times an unverified load (``verify="off"``) — the same
     measurement this gate was introduced on, isolating the artifact
     subsystem from integrity checking.  The default (lazy-verified) path
-    additionally pays one deferred CRC pass over the tables on the first
+    additionally pays one deferred CRC pass over the arena on the first
     query; it is timed here too and must still beat the rebuild by >= 2.5x
     (its load-time share is gated by ``test_artifact_integrity_overhead``).
     """
@@ -485,6 +487,7 @@ def test_artifact_cold_start_speedup(tmp_path):
             f"verified cold start only {verified_speedup:.2f}x faster than"
             " a rebuild"
         )
+    _gate_at_most("artifact_cold_start_ms", load_seconds * 1e3)
 
 
 def test_artifact_integrity_overhead(tmp_path):
@@ -533,71 +536,15 @@ def test_artifact_integrity_overhead(tmp_path):
         )
 
 
-def test_artifact_v2_vs_v1_cold_start(tmp_path):
-    """Format v2 (compiled arena) must cold-start no slower than v1.
-
-    v1 artifacts store the raw per-class tables, so loading one pays a
-    full plan recompile (arena build, duplicate culling, downcast
-    guards) before the first answer; v2 memory-maps the arena as-is.
-    Gate: v2 load+first-answer at least matches v1 (best of 3 each;
-    relaxed under REPRO_BENCH_SMOKE, where the profile also shrinks).
-    The two formats must answer bit-identically — that check never
-    relaxes.
-    """
-    if BENCH_SMOKE:
-        n_samples, n_items = 200, 800
-    else:
-        n_samples, n_items = 1000, 4000
-    dataset = _serving_dataset(n_samples, n_items, 3, 0.3, seed=13)
-    rng = np.random.default_rng(14)
-    query = (rng.random(n_items) < 30 / n_items)[None, :]
-    evaluator = FastBSTCEvaluator(dataset)
-    v2_path = save_artifact(evaluator, tmp_path / "v2.npz")
-    v1_path = save_artifact(
-        evaluator, tmp_path / "v1.npz", format_version=1
-    )
-
-    def v1_cold_start():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            loaded = load_artifact(v1_path, verify="off")
-        return loaded.classification_values_batch(query)
-
-    def v2_cold_start():
-        return load_artifact(
-            v2_path, verify="off"
-        ).classification_values_batch(query)
-
-    v1_answer = v1_cold_start()
-    v2_answer = v2_cold_start()
-    assert np.array_equal(v1_answer, v2_answer)  # never relaxed
-
-    v1_seconds = _best_of(3, v1_cold_start)
-    v2_seconds = _best_of(3, v2_cold_start)
-    ratio = v1_seconds / v2_seconds
-    _BENCH_RECORD["artifact_v2_vs_v1_cold_start_speedup"] = ratio
-    print(
-        f"\nartifact v2 cold start: {v2_seconds * 1e3:.1f}ms vs v1"
-        f" recompile {v1_seconds * 1e3:.1f}ms ({ratio:.1f}x)"
-    )
-    if not BENCH_SMOKE:
-        assert ratio >= 1.0, (
-            f"v2 cold start is {1 / ratio:.2f}x slower than the v1"
-            " recompile path"
-        )
-
-
-def test_service_threaded_throughput_speedup():
-    """Micro-batched serving vs serial single-query evaluation.
+def test_service_threaded_throughput():
+    """Micro-batched serving throughput, bounded from below in q/s.
 
     Eight concurrent callers push 64 requests through a
-    ``PredictionService`` (max_batch=8, max_wait_ms=1.0); the baseline
-    answers the same requests serially, one ``classification_values`` call
-    each.  The service coalesces concurrent arrivals into batched kernel
-    calls, so its throughput must be >= 3x the serial path's.  Served values
-    are checked bit-identical to the serial ones (always gating); the
-    timing gate is relaxed under REPRO_BENCH_SMOKE, where the profile also
-    shrinks.
+    ``PredictionService`` (max_batch=8, max_wait_ms=1.0).  Served values
+    must equal both the batched kernel's and the single-query answers bit
+    for bit (always gating); the q/s floor is relaxed under
+    REPRO_BENCH_SMOKE, where the profile also shrinks.  Serial single-query
+    throughput is printed for context.
 
     The service runs with its full self-healing stack enabled — per-request
     deadlines, load shedding, and the circuit breaker — so the gate also
@@ -655,15 +602,12 @@ def test_service_threaded_throughput_speedup():
 
     # Correctness gates, never relaxed: the service must hand back exactly
     # what the batched kernel computes (it batches, row-slices, nothing
-    # else), and the batched kernel must agree with the serial path to
-    # float tolerance (their reduction orders differ by design).
+    # else), and a query's row may not depend on the batch it landed in.
     assert np.array_equal(
         served, evaluator.classification_values_batch(queries)
     )
-    np.testing.assert_allclose(served, serial, atol=1e-6)
+    assert np.array_equal(served, serial)
 
-    speedup = serial_seconds / service_seconds
-    _BENCH_RECORD["service_threaded_throughput_speedup"] = speedup
     # LatencyHistogram is not thread-safe, so callers record wall times
     # into their own slots and the histogram is fed after the join.
     histogram = LatencyHistogram()
@@ -674,16 +618,13 @@ def test_service_threaded_throughput_speedup():
     service_qps = n_requests / service_seconds
     print(
         f"\nprediction service: {service_qps:.1f} q/s over {n_threads}"
-        f" threads vs {serial_qps:.1f} q/s serial ({speedup:.1f}x)"
+        f" threads vs {serial_qps:.1f} q/s serial single queries"
     )
-    if not BENCH_SMOKE:
-        assert speedup >= 3.0, (
-            f"micro-batched serving only {speedup:.2f}x the serial path"
-        )
+    _gate_at_least("service_threaded_qps", service_qps)
 
 
-def test_registry_aggregate_throughput_speedup():
-    """N-model registry vs one service shared across those N models.
+def test_registry_aggregate_throughput():
+    """N-model registry throughput, bounded from below in q/s.
 
     The same offered load — threads pinned to models, every request for a
     specific model — is pushed through two deployments:
@@ -697,9 +638,10 @@ def test_registry_aggregate_throughput_speedup():
       micro-batch queue, so concurrent callers of the same model coalesce
       into batched kernel calls again.
 
-    Aggregate registry throughput must be >= 2x the shared service's
-    (relaxed under REPRO_BENCH_SMOKE; the bit-identity check against
-    direct batch evaluation always gates).
+    The registry's aggregate q/s is gated (``registry_aggregate_qps``,
+    relaxed under REPRO_BENCH_SMOKE); the shared service's is printed for
+    context.  Both deployments must answer exactly like direct batch
+    evaluation (always gating).
     """
     n_models = 4
     if BENCH_SMOKE:
@@ -790,23 +732,15 @@ def test_registry_aggregate_throughput_speedup():
         expected = evaluators[thread_id % n_models].\
             classification_values_batch(queries[thread_id])
         assert np.array_equal(registry_results[thread_id], expected)
-        np.testing.assert_allclose(
-            shared_results[thread_id], expected, atol=1e-6
-        )
+        assert np.array_equal(shared_results[thread_id], expected)
 
     n_requests = n_threads * per_thread
-    speedup = shared_seconds / registry_seconds
-    _BENCH_RECORD["registry_aggregate_throughput_speedup"] = speedup
+    registry_qps = n_requests / registry_seconds
     print(
-        f"\nmodel registry: {n_requests / registry_seconds:.1f} q/s over"
-        f" {n_models} slots vs {n_requests / shared_seconds:.1f} q/s"
-        f" shared service ({speedup:.1f}x)"
+        f"\nmodel registry: {registry_qps:.1f} q/s over {n_models} slots vs"
+        f" {n_requests / shared_seconds:.1f} q/s shared service"
     )
-    if not BENCH_SMOKE:
-        assert speedup >= 2.0, (
-            f"registry aggregate throughput only {speedup:.2f}x the shared"
-            " single-service path"
-        )
+    _gate_at_least("registry_aggregate_qps", registry_qps)
 
 
 # ----------------------------------------------------------------------
@@ -840,8 +774,7 @@ def test_incremental_append_speedup():
     grown = base.append_samples(full.samples[old_n:], full.labels[old_n:])
 
     clear_evaluator_cache()
-    base_eval = FastBSTCEvaluator(base)
-    base_eval._ensure_plan()  # precompiled, as in a live serving process
+    base_eval = FastBSTCEvaluator(base)  # compiled, as in a live server
 
     def cold_rebuild():
         # A genuinely cold rebuild: a fresh dataset object (no memoized
@@ -857,8 +790,8 @@ def test_incremental_append_speedup():
 
     cold_eval = cold_rebuild()
     delta_eval = delta_append()
-    cold_plan = cold_eval._ensure_plan()
-    delta_plan = delta_eval._ensure_plan()
+    cold_plan = cold_eval.plan
+    delta_plan = delta_eval.plan
     # Bit-identity gates, never relaxed: same plan bytes, same answers.
     assert np.array_equal(cold_plan.geometry, delta_plan.geometry)
     for name in ARENA_FIELDS:

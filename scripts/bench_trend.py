@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Fail CI when a gated benchmark ratio regresses against the committed
+"""Fail CI when a gated benchmark number regresses against the committed
 baseline.
 
 Compares the freshly written ``BENCH_micro.json`` / ``BENCH_replay.json``
 in the working tree against the last committed entry (``git show
-<ref>:<file>``).  Only the *gated* ratios are compared — the numbers the
+<ref>:<file>``).  Only the *gated* numbers are compared — the ones the
 benchmark suite itself asserts on — with a direction per key (speedups
-must not drop, peak-memory ratios must not rise) and a relative
-tolerance (default 20%).
+and rates must not drop; times, bytes and peak-memory ratios must not
+rise) and a relative tolerance (default 20%).
 
 Records from different modes are incomparable: a smoke-mode run shrinks
 the profiles, so if the ``smoke`` flags disagree the suite is skipped
@@ -35,13 +35,15 @@ REPO = Path(__file__).resolve().parent.parent
 #: beyond tolerance fails), ``down`` means lower is better.
 GATES = {
     "BENCH_micro.json": {
-        "batched_bstce_speedup": "up",
+        "batched_bstce_ms_per_query": "down",
         "bitset_support_counting_speedup": "up",
         "bitset_closure_speedup": "up",
         "artifact_cold_start_speedup": "up",
-        "artifact_v2_vs_v1_cold_start_speedup": "up",
-        "plan_kernel_speedup": "up",
-        "plan_hot_bytes_ratio": "down",
+        "artifact_cold_start_ms": "down",
+        "plan_kernel_batch_ms": "down",
+        "plan_hot_bytes": "down",
+        "service_threaded_qps": "up",
+        "registry_aggregate_qps": "up",
         "incremental_append_speedup": "up",
         "chunked_ingest_peak_ratio_10x": "down",
     },

@@ -25,10 +25,9 @@ Usage::
 The model-serving subcommands mirror the HTTP gateway's verbs —
 ``predict``, ``explain``, ``serve`` — and share its error surface: exit
 codes map 1:1 onto the HTTP statuses of :mod:`repro.serving.surface`.
-(``serve-bench`` remains a hidden alias of ``bench``.)
 
 Every command prints the engine counters afterwards: evaluator cache
-hits/misses and entries/capacity, class tables built, batch sizes, serving
+hits/misses and entries/capacity, evaluator builds, batch sizes, serving
 latency/occupancy, and per-phase wall time.
 """
 
@@ -58,9 +57,6 @@ from .serving.surface import (
 #: The serving subcommands (one per HTTP verb, plus the benchmark); these
 #: share the surface's exit-code mapping and print the counter dump.
 _SERVING_COMMANDS = ("predict", "explain", "serve", "bench", "refresh", "replay")
-
-#: Old command spellings kept working (hidden — not listed in --help).
-_COMMAND_ALIASES = {"serve-bench": "bench"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -723,28 +719,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonical_argv(argv: List[str]) -> List[str]:
-    """Map hidden legacy command spellings onto their canonical names.
-
-    Only the token in command position is rewritten; flags (and the value
-    of the one top-level option that takes one) are skipped, so file
-    arguments that happen to match an alias are never touched.
-    """
-    argv = list(argv)
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token == "--evaluator-cache-size":
-            i += 2
-            continue
-        if token.startswith("-"):
-            i += 1
-            continue
-        argv[i] = _COMMAND_ALIASES.get(token, token)
-        break
-    return argv
-
-
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         scale="full" if args.full else "scaled",
@@ -1389,7 +1363,7 @@ def _run_demo() -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_canonical_argv(argv))
+    args = _build_parser().parse_args(argv)
     if args.command == "list":
         for experiment_id in experiment_ids():
             print(experiment_id)

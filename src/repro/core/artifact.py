@@ -1,16 +1,15 @@
 """Compiled model artifacts: export a fitted evaluator, reload with zero rebuild.
 
 BSTC's selling point is that classification needs no expensive offline model —
-but the vectorized engine still pays the full :class:`FastBSTCEvaluator` table
-build (dense per-class matmuls over the whole training matrix) on every cold
+but the vectorized engine still pays the full :class:`FastBSTCEvaluator` plan
+compile (dense per-class matmuls over the whole training matrix) on every cold
 start.  This module removes that cost from the serving path:
 
 * :func:`save_artifact` exports a fitted evaluator's **compiled evaluation
   plan** (:mod:`repro.core.plan`) — one flat ``arena_<field>`` member per
   structure-of-arrays field plus a tiny int64 geometry table — alongside
   the arithmetization, the training-data fingerprint and a format version,
-  in a single uncompressed ``.npz`` file (format v2; ``format_version=1``
-  still writes the legacy per-class ``_ClassTables`` layout);
+  in a single uncompressed ``.npz`` file (format v2);
 * :func:`load_artifact` reconstructs a working evaluator **without rebuilding
   any table**: every stored array is memory-mapped straight out of the zip
   archive (``np.savez`` stores members uncompressed, so each embedded ``.npy``
@@ -18,10 +17,8 @@ start.  This module removes that cost from the serving path:
   directly) and the per-class plan views are rebuilt over the mapped arena
   without copying a byte.  Cold start becomes a zip-directory parse plus a
   few header reads; arena pages fault in lazily as the first queries touch
-  them.  Legacy v1 artifacts still load — their tables are recompiled into
-  a plan (with a :class:`DeprecationWarning` and an
-  ``artifact_v1_recompiles`` counter), which costs the compile but keeps
-  old files serving until they are re-saved.
+  them.  Format v1 files (the old per-class table layout) are refused with
+  an :class:`ArtifactError` that says to refit and re-save the model.
 
 A loaded evaluator carries a :class:`DatasetSummary` instead of the full
 training :class:`~repro.datasets.dataset.RelationalDataset`: the evaluation
@@ -57,7 +54,6 @@ import json
 import os
 import struct
 import threading
-import warnings
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -70,8 +66,8 @@ import numpy as np
 from ..errors import ReproError
 from ..evaluation.timing import engine_counters
 from .arithmetization import get_combiner
-from .fast import FastBSTCEvaluator, _ClassTables, discard_evaluator
-from .plan import ARENA_FIELDS, compile_plan_from_tables, plan_from_arena
+from .fast import FastBSTCEvaluator, discard_evaluator
+from .plan import ARENA_FIELDS, plan_from_arena
 
 PathLike = Union[str, Path]
 
@@ -87,38 +83,8 @@ __all__ = [
 ]
 
 #: Bumped whenever the stored array layout changes incompatibly.  Loaders
-#: refuse unknown versions instead of guessing; v1 (the per-class
-#: ``_ClassTables`` layout) remains readable via recompilation.
+#: refuse every other version instead of guessing.
 ARTIFACT_FORMAT_VERSION = 2
-
-#: Every format version :func:`load_artifact` can read.
-_READABLE_VERSIONS = (1, 2)
-
-#: The per-class arrays a **v1** artifact stores, in ``_ClassTables`` field
-#: order.  ``inside_f``/``outside_f`` are stored even though they are casts
-#: of ``inside``/``outside``: they are the matmul operands, and storing them
-#: keeps the hot kernels running on memory-mapped pages instead of forcing a
-#: full in-memory cast at load time.  v2 artifacts store the compiled arena
-#: (one ``arena_<field>`` member per :data:`repro.core.plan.ARENA_FIELDS`
-#: entry) instead.
-_TABLE_FIELDS: Tuple[str, ...] = (
-    "inside",
-    "outside",
-    "inside_f",
-    "outside_f",
-    "len_neg",
-    "len_pos",
-    "negated",
-    "empty",
-    "inside_sizes",
-    "gene_mask",
-    "outside_counts",
-    "blackdot_mask",
-    "h_flat",
-    "h_offsets",
-    "inside_rows",
-    "inside_row_offsets",
-)
 
 
 #: Zip member carrying the per-member CRCs and the root digest.
@@ -188,29 +154,21 @@ class DatasetSummary:
 # ----------------------------------------------------------------------
 
 
-def save_artifact(
-    evaluator: FastBSTCEvaluator,
-    path: PathLike,
-    *,
-    format_version: int = ARTIFACT_FORMAT_VERSION,
-) -> Path:
+def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
     """Export a fitted evaluator as a single ``.npz`` model artifact.
 
     The file is written uncompressed (``np.savez``) on purpose: compression
     would defeat the memory-mapped zero-copy load path, and boolean/float32
-    tables are already compact.  By default the compiled evaluation plan is
-    stored (format v2: the flat arena plus its geometry table);
-    ``format_version=1`` writes the legacy per-class layout for consumers
-    pinned to the old reader.  Returns the path written.
+    arrays are already compact.  It stores the compiled evaluation plan
+    (format v2: the flat arena plus its geometry table).  Returns the path
+    written.
     """
-    if format_version not in _READABLE_VERSIONS:
-        raise ValueError(
-            f"format_version must be one of {_READABLE_VERSIONS},"
-            f" got {format_version}"
-        )
     dataset = evaluator.dataset
+    plan = evaluator.plan
     arrays: Dict[str, np.ndarray] = {
-        "meta_format_version": np.array(format_version, dtype=np.int64),
+        "meta_format_version": np.array(
+            ARTIFACT_FORMAT_VERSION, dtype=np.int64
+        ),
         "meta_arithmetization": np.array(evaluator.arithmetization),
         "meta_fingerprint": np.array(dataset.fingerprint),
         "meta_n_items": np.array(dataset.n_items, dtype=np.int64),
@@ -218,27 +176,11 @@ def save_artifact(
         "meta_n_samples": np.array(dataset.n_samples, dtype=np.int64),
         "meta_item_names": np.array(list(dataset.item_names)),
         "meta_class_names": np.array(list(dataset.class_names)),
+        "meta_plan_geometry": np.ascontiguousarray(plan.geometry),
+        "meta_plan_culled_refs": np.array(plan.culled_refs, dtype=np.int64),
     }
-    if format_version == 1:
-        legacy = evaluator._legacy_tables()
-        arrays["meta_has_table"] = np.array(
-            [t is not None for t in legacy], dtype=bool
-        )
-        for class_id, tables in enumerate(legacy):
-            if tables is None:
-                continue
-            for field_name in _TABLE_FIELDS:
-                arrays[f"class{class_id}_{field_name}"] = np.ascontiguousarray(
-                    getattr(tables, field_name)
-                )
-    else:
-        plan = evaluator._ensure_plan()
-        arrays["meta_plan_geometry"] = np.ascontiguousarray(plan.geometry)
-        arrays["meta_plan_culled_refs"] = np.array(
-            plan.culled_refs, dtype=np.int64
-        )
-        for name in ARENA_FIELDS:
-            arrays[f"arena_{name}"] = np.ascontiguousarray(plan.arena[name])
+    for name in ARENA_FIELDS:
+        arrays[f"arena_{name}"] = np.ascontiguousarray(plan.arena[name])
     path = Path(path)
     with path.open("wb") as handle:
         np.savez(handle, **arrays)
@@ -653,77 +595,6 @@ class _ArtifactReader:
 # ----------------------------------------------------------------------
 
 
-def _check_shape(
-    path: Path, name: str, array: np.ndarray, expected: Tuple[int, ...]
-) -> np.ndarray:
-    if tuple(array.shape) != expected:
-        raise ArtifactError(
-            f"{path}: entry {name!r} has shape {tuple(array.shape)},"
-            f" expected {expected}"
-        )
-    return array
-
-
-def _load_v1_tables(
-    path: Path,
-    reader: "_ArtifactReader",
-    summary: DatasetSummary,
-    arithmetization: str,
-    on_corrupt: str,
-) -> FastBSTCEvaluator:
-    """Read a legacy v1 artifact's per-class tables and recompile them into
-    an evaluation plan.  Costs the compile (unlike the zero-copy v2 path),
-    so the caller is nudged to re-save."""
-    warnings.warn(
-        f"{path}: artifact format v1 is deprecated; the per-class tables"
-        " were recompiled into an evaluation plan at load time — re-save"
-        " the model to store the compiled arena (format v2) and restore"
-        " the zero-rebuild cold start",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    engine_counters.increment("artifact_v1_recompiles")
-    n_items = summary.n_items
-    n_classes = summary.n_classes
-    has_table = reader.eager("meta_has_table")
-    if has_table.shape != (n_classes,):
-        raise ArtifactError(f"{path}: meta_has_table does not cover every class")
-    tables: List[Optional[_ClassTables]] = []
-    for class_id in range(n_classes):
-        if not bool(has_table[class_id]):
-            tables.append(None)
-            continue
-        try:
-            fields = {
-                field_name: reader.array(f"class{class_id}_{field_name}")
-                for field_name in _TABLE_FIELDS
-            }
-        except (zipfile.BadZipFile, zlib.error) as exc:
-            # Eager zipfile reads CRC-check implicitly; translate a
-            # payload mismatch into the structured corruption error.
-            _raise_corrupt(path, str(exc), None, on_corrupt)
-        inside = fields["inside"]
-        if inside.ndim != 2 or inside.shape[1] != n_items:
-            raise ArtifactError(
-                f"{path}: class {class_id} tables disagree with the"
-                f" item vocabulary ({inside.shape} vs {n_items} items)"
-            )
-        n_c, n_o = inside.shape[0], fields["outside"].shape[0]
-        _check_shape(path, "outside", fields["outside"], (n_o, n_items))
-        _check_shape(path, "len_neg", fields["len_neg"], (n_c, n_o))
-        _check_shape(path, "gene_mask", fields["gene_mask"], (n_items,))
-        _check_shape(
-            path,
-            "inside_row_offsets",
-            fields["inside_row_offsets"],
-            (n_items + 1,),
-        )
-        tables.append(_ClassTables(class_id=class_id, **fields))
-    with engine_counters.track("artifact_load"):
-        plan = compile_plan_from_tables(tables, n_items, arithmetization)
-        return FastBSTCEvaluator._from_plan(summary, arithmetization, plan)
-
-
 #: Arena members whose dtype the kernels rely on structurally (the index
 #: and weight members may legitimately vary between the narrow and wide
 #: dtypes, so only their sizes are validated).
@@ -787,7 +658,7 @@ def load_artifact(
 ) -> FastBSTCEvaluator:
     """Reconstruct a :class:`FastBSTCEvaluator` from a saved artifact.
 
-    No table is rebuilt: the per-class arrays are handed to the evaluator
+    Nothing is recompiled: the plan arena is handed to the evaluator
     exactly as stored, memory-mapped out of the archive when ``mmap`` is
     true (the default).  The evaluator's ``dataset`` attribute is a
     :class:`DatasetSummary`.
@@ -874,10 +745,16 @@ def load_artifact(
                 elif table_names:
                     deferred = (table_names, records, verify_offsets)
         version = int(reader.eager("meta_format_version"))
-        if version not in _READABLE_VERSIONS:
+        if version == 1:
+            raise ArtifactError(
+                f"{path}: artifact format version 1 (per-class tables) is no"
+                " longer readable; refit the model and re-save it to write"
+                f" format v{ARTIFACT_FORMAT_VERSION}"
+            )
+        if version != ARTIFACT_FORMAT_VERSION:
             raise ArtifactError(
                 f"{path}: artifact format version {version} is not supported"
-                f" (this build reads versions {_READABLE_VERSIONS})"
+                f" (this build reads version {ARTIFACT_FORMAT_VERSION})"
             )
         arithmetization = str(reader.eager("meta_arithmetization"))
         try:
@@ -913,14 +790,9 @@ def load_artifact(
             item_names=item_names,
             class_names=class_names,
         )
-        if version == 1:
-            evaluator = _load_v1_tables(
-                path, reader, summary, arithmetization, on_corrupt
-            )
-        else:
-            evaluator = _load_v2_plan(
-                path, reader, summary, arithmetization, on_corrupt
-            )
+        evaluator = _load_v2_plan(
+            path, reader, summary, arithmetization, on_corrupt
+        )
         # Lazy mode: the table payloads are checked by the first query that
         # touches the evaluator, before any prediction is produced.
         evaluator._integrity_guard = guard

@@ -11,37 +11,30 @@ materializing BST cells, by exploiting the structure of exclusion lists:
 * The cell ``(g, c)`` combines the pair values ``V[c, h]`` over the outside
   samples ``h`` expressing ``g`` (a black dot is the empty case, valued 1).
 
-Per query, the dominant cost is one dense matmul per class —
-``(|C_i| x |G|) @ (|G| x |S - C_i|)`` — plus a chunked masked reduction over
-the query's expressed genes.  :meth:`FastBSTCEvaluator.classification_values_batch`
-amortizes both across a query batch.
+There is one kernel.  Per-class state lives in the compiled plan's flat
+structure-of-arrays arena (:mod:`repro.core.plan`: fused pair weights,
+downcast dtypes, duplicate-outside-row culling), and
+:meth:`FastBSTCEvaluator.classification_values_batch` evaluates blocks of
+``_BATCH_BLOCK`` queries with one stacked matmul per class — or, for sparse
+serving batches, one small matmul per query over only its expressed genes —
+plus a segment reduction over the non-blank cells.  A single query is a
+batch of one.
 
-Two kernel paths share this file:
-
-* the **compiled plan** path (default): per-class state lives in one flat
-  structure-of-arrays arena (:mod:`repro.core.plan`) with fused pair
-  weights, downcast dtypes, duplicate-outside-row culling, and a
-  per-query sparse matmul restriction — sparse serving queries only pay
-  for their own expressed genes;
-* the **legacy tables** path (``compile_plan=False``): the original
-  :class:`_ClassTables` layout, kept as the bit-identity reference the
-  plan kernel is property-tested and benchmarked against.
-
-Both paths produce bit-identical values: every intermediate count is
-small-integer float32 arithmetic (exact below 2**24), so fusing or
-restricting the matmuls cannot change a bit, and the single rounding
-operation — the final ``sat / len`` division — keeps identical operands.
+Every intermediate count is small-integer float32 arithmetic (exact below
+2**24) and each query's cells accumulate in a fixed order, so a query's
+values do not depend on its batchmates, its position in the batch, or
+which matmul form the batch selected: the single rounding operation — the
+final ``sat / len`` division — always sees identical operands.
 
 Evaluators are cached process-wide by :func:`get_evaluator`, keyed on the
 ``(dataset fingerprint, arithmetization)`` pair, so repeated CV phases and
-CLI invocations stop rebuilding identical per-class tables.
+CLI invocations stop recompiling identical plans.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -49,16 +42,10 @@ import numpy as np
 from ..datasets.dataset import RelationalDataset
 from ..evaluation.timing import engine_counters
 from .arithmetization import get_combiner
-from .plan import (
-    EvaluationPlan,
-    PlanClass,
-    compile_plan_from_tables,
-    recompile_delta,
-)
+from .plan import EvaluationPlan, PlanClass, compile_plan, recompile_delta
 
 Query = Union[AbstractSet[int], np.ndarray]
 
-_GENE_CHUNK = 256
 #: Queries evaluated together inside one batched block.
 _BATCH_BLOCK = 64
 #: Element cap for the (block, n_c, n_o, genes) reduction working array.
@@ -73,82 +60,6 @@ _SPARSE_MIN_ITEMS = 256
 _PER_QUERY_SPARSITY = 8
 
 
-@dataclass
-class _ClassTables:
-    """Per-class precomputed matrices (the vectorized analogue of a BST).
-
-    The legacy layout the compiled plan replaced; still built under
-    ``compile_plan=False`` as the equivalence/benchmark reference and as
-    the source material for v1 artifacts.
-    """
-
-    class_id: int
-    inside: np.ndarray       # bool (n_c, n_items): rows of C_i
-    outside: np.ndarray      # bool (n_o, n_items): rows of S - C_i
-    inside_f: np.ndarray     # float32 view of ``inside`` (matmul operand)
-    outside_f: np.ndarray    # float32 view of ``outside`` (matmul operand)
-    len_neg: np.ndarray      # float32 (n_c, n_o): |h - c|
-    len_pos: np.ndarray      # float32 (n_c, n_o): |c - h|
-    negated: np.ndarray      # bool  (n_c, n_o): pair list is the negated form
-    empty: np.ndarray        # bool  (n_c, n_o): identical rows -> empty list
-    inside_sizes: np.ndarray  # float32 (n_c,)
-    gene_mask: np.ndarray    # bool (n_items,): genes some inside row expresses
-    outside_counts: np.ndarray  # int64 (n_items,): outside rows per gene
-    blackdot_mask: np.ndarray   # bool (n_items,): relevant genes no h expresses
-    h_flat: np.ndarray       # int64 (nnz,): outside-row ids, gene-major
-    h_offsets: np.ndarray    # int64 (n_items,): start of each gene in h_flat
-    inside_rows: np.ndarray  # int64 (nnz,): inside rows per gene, gene-major
-    inside_row_offsets: np.ndarray  # int64 (n_items + 1,): CSR offsets
-
-
-def _class_tables_for(
-    class_id: int, inside: np.ndarray, outside: np.ndarray, n_items: int
-) -> _ClassTables:
-    """Build one class's legacy tables from its inside/outside row blocks."""
-    ins = inside.astype(np.float32)
-    outs = outside.astype(np.float32)
-    inter = ins @ outs.T  # |c ∩ h|
-    inside_sizes = ins.sum(axis=1)
-    outside_sizes = outs.sum(axis=1)
-    len_neg = outside_sizes[None, :] - inter
-    len_pos = inside_sizes[:, None] - inter
-    negated = len_neg > 0
-    empty = (len_neg == 0) & (len_pos == 0)
-    gene_mask = inside.any(axis=0)
-    outside_counts = outside.sum(axis=0).astype(np.int64)
-    # Gene-major CSR-style lists of the outside rows expressing each gene,
-    # for the batched segment reduction.
-    gene_ids, h_ids = np.nonzero(outside.T)
-    del gene_ids  # np.nonzero order guarantees gene-major h_ids
-    h_offsets = np.zeros(n_items, dtype=np.int64)
-    np.cumsum(outside_counts[:-1], out=h_offsets[1:])
-    # Gene-major CSR of ``inside`` — which class rows express each gene,
-    # i.e. the non-blank cells the batched segment reduction visits.
-    ins_gene_ids, inside_rows = np.nonzero(inside.T)
-    del ins_gene_ids
-    inside_row_offsets = np.zeros(n_items + 1, dtype=np.int64)
-    np.cumsum(inside.sum(axis=0), out=inside_row_offsets[1:])
-    return _ClassTables(
-        class_id=class_id,
-        inside=inside,
-        outside=outside,
-        inside_f=ins,
-        outside_f=outs,
-        len_neg=len_neg,
-        len_pos=len_pos,
-        negated=negated,
-        empty=empty,
-        inside_sizes=inside_sizes,
-        gene_mask=gene_mask,
-        outside_counts=outside_counts,
-        blackdot_mask=gene_mask & (outside_counts == 0),
-        h_flat=h_ids.astype(np.int64),
-        h_offsets=h_offsets,
-        inside_rows=inside_rows.astype(np.int64),
-        inside_row_offsets=inside_row_offsets,
-    )
-
-
 class FastBSTCEvaluator:
     """Evaluates BSTCE classification values for every class of a dataset.
 
@@ -156,56 +67,18 @@ class FastBSTCEvaluator:
         dataset: the (training) relational dataset.
         arithmetization: per-cell list combiner — ``min`` (Algorithm 5),
             ``product``, or ``mean`` (see :mod:`repro.core.arithmetization`).
-        compile_plan: compile the per-class tables into the
-            structure-of-arrays evaluation plan (the default and the path
-            every artifact stores).  ``False`` keeps the legacy
-            :class:`_ClassTables` layout — the bit-identity reference the
-            plan kernel is tested and benchmarked against.
     """
 
-    def __init__(
-        self,
-        dataset: RelationalDataset,
-        arithmetization: str = "min",
-        *,
-        compile_plan: bool = True,
-    ):
+    def __init__(self, dataset: RelationalDataset, arithmetization: str = "min"):
         get_combiner(arithmetization)  # shared validation + error message
         self.dataset = dataset
         self.arithmetization = arithmetization
-        matrix = dataset.bool_matrix
-        labels = dataset.label_array
-        tables: List[Optional[_ClassTables]] = []
-        with engine_counters.track("tables_build"):
-            for class_id in range(dataset.n_classes):
-                member_mask = labels == class_id
-                inside = matrix[member_mask]
-                outside = matrix[~member_mask]
-                if inside.shape[0] == 0:
-                    # No training sample of this class: its BST is empty and
-                    # the classification value is 0 for every query.
-                    tables.append(None)
-                    continue
-                tables.append(
-                    _class_tables_for(
-                        class_id, inside, outside, matrix.shape[1]
-                    )
-                )
-            self._plan: Optional[EvaluationPlan] = None
-            self._tables: Optional[List[Optional[_ClassTables]]] = None
-            if compile_plan:
-                self._plan = compile_plan_from_tables(
-                    tables, matrix.shape[1], arithmetization
-                )
-            else:
-                self._tables = tables
+        with engine_counters.track("plan_build"):
+            self._plan = compile_plan(dataset, arithmetization)
         #: Deferred artifact verification (set by ``load_artifact`` under
         #: ``verify="lazy"``); runs before the first query's kernel work.
         self._integrity_guard = None
         engine_counters.increment("evaluator_builds")
-        engine_counters.increment(
-            "class_tables_built", sum(t is not None for t in tables)
-        )
 
     @classmethod
     def _from_plan(
@@ -228,27 +101,13 @@ class FastBSTCEvaluator:
         self.dataset = dataset
         self.arithmetization = arithmetization
         self._plan = plan
-        self._tables = None
         self._integrity_guard = None
         engine_counters.increment("evaluator_restores")
         return self
 
     @property
-    def plan(self) -> Optional[EvaluationPlan]:
-        """The compiled evaluation plan (``None`` on a legacy-tables
-        evaluator that has not been asked to compile one)."""
-        return self._plan
-
-    def _ensure_plan(self) -> EvaluationPlan:
-        """The compiled plan, compiling it on demand from the legacy tables
-        (the save path for a ``compile_plan=False`` evaluator).  A legacy
-        evaluator keeps dispatching through its tables afterwards — the
-        plan is only materialized for export."""
-        if self._plan is None:
-            assert self._tables is not None
-            self._plan = compile_plan_from_tables(
-                self._tables, self.dataset.n_items, self.arithmetization
-            )
+    def plan(self) -> EvaluationPlan:
+        """The compiled evaluation plan the kernel evaluates from."""
         return self._plan
 
     def append_rows(self, dataset: RelationalDataset) -> "FastBSTCEvaluator":
@@ -264,7 +123,7 @@ class FastBSTCEvaluator:
         if self._integrity_guard is not None:
             self._integrity_guard()
         plan = recompile_delta(
-            self._ensure_plan(),
+            self._plan,
             dataset,
             int(self.dataset.n_samples),
             self.arithmetization,
@@ -272,36 +131,6 @@ class FastBSTCEvaluator:
         return FastBSTCEvaluator._from_plan(
             dataset, self.arithmetization, plan
         )
-
-    def _legacy_tables(self) -> List[Optional[_ClassTables]]:
-        """Legacy per-class tables, rebuilt from the plan's row blocks when
-        this evaluator only carries the compiled arena (the v1-artifact
-        export path)."""
-        if self._tables is not None:
-            return self._tables
-        assert self._plan is not None
-        tables: List[Optional[_ClassTables]] = []
-        for pc in self._plan.classes:
-            if pc is None:
-                tables.append(None)
-                continue
-            tables.append(
-                _class_tables_for(
-                    pc.class_id,
-                    np.asarray(pc.inside, dtype=bool),
-                    np.asarray(pc.outside, dtype=bool),
-                    self.dataset.n_items,
-                )
-            )
-        return tables
-
-    def _per_class(self) -> Sequence[Optional[object]]:
-        """The per-class kernel state: legacy tables when this evaluator
-        was built with ``compile_plan=False``, plan views otherwise."""
-        if self._tables is not None:
-            return self._tables
-        assert self._plan is not None
-        return self._plan.classes
 
     # ------------------------------------------------------------------
     def _as_vector(self, query: Query) -> np.ndarray:
@@ -336,124 +165,27 @@ class FastBSTCEvaluator:
 
     @staticmethod
     def _sparse_columns(qmat: np.ndarray) -> Optional[np.ndarray]:
-        """Expressed item columns of a (batch of) boolean queries, when
-        restricting the pair-value matmuls to them saves real work.
+        """Expressed item columns of a query batch, when restricting the
+        stacked pair-value matmul to them saves real work.
 
         Every inner product behind the pair values only accumulates over
-        items the query expresses (the other terms are exact ``+0.0``), so
-        for sparse queries the dominant ``(n_c x |G|) @ (|G| x n_o)`` matmul
-        shrinks to the expressed columns — the cold-start/single-query
-        serving path stops paying for the full item vocabulary.  Returns
-        ``None`` when the batch is dense enough (or the vocabulary small
-        enough) that the full-width matmul is cheaper than slicing.
+        items the batch expresses (the other terms are exact ``+0.0``), so
+        the dominant ``(n_c x |G|) @ (|G| x n_o)`` matmul shrinks to the
+        expressed columns.  Returns ``None`` when the batch is dense enough
+        (or the vocabulary small enough) that the full-width matmul is
+        cheaper than slicing.
         """
-        n_items = qmat.shape[-1]
+        n_items = qmat.shape[1]
         if n_items < _SPARSE_MIN_ITEMS:
             return None
-        expressed = qmat.any(axis=0) if qmat.ndim == 2 else qmat
-        cols = np.flatnonzero(expressed)
+        cols = np.flatnonzero(qmat.any(axis=0))
         if cols.size > n_items // 2:
             return None
         return cols
 
     # ------------------------------------------------------------------
-    # Pair values: legacy tables path
+    # The kernel
     # ------------------------------------------------------------------
-    def _pair_values(self, tables: _ClassTables, qvec: np.ndarray) -> np.ndarray:
-        """V[c, h]: satisfied-literal fraction of each shared pair list."""
-        cols = self._sparse_columns(qvec)
-        if cols is not None:
-            q = qvec[cols].astype(np.float32)
-            inside_f = tables.inside_f[:, cols]
-            outside_f = tables.outside_f[:, cols]
-        else:
-            q = qvec.astype(np.float32)
-            inside_f = tables.inside_f
-            outside_f = tables.outside_f
-        hq = outside_f @ q                 # |h ∩ Q|
-        cq = inside_f @ q                  # |c ∩ Q|
-        masked_inside = inside_f * q[None, :]
-        chq = masked_inside @ outside_f.T  # |c∩h∩Q|
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sat_neg = tables.len_neg - (hq[None, :] - chq)
-            v_neg = np.where(tables.len_neg > 0, sat_neg / tables.len_neg, 0.0)
-            sat_pos = cq[:, None] - chq
-            v_pos = np.where(tables.len_pos > 0, sat_pos / tables.len_pos, 0.0)
-        values = np.where(tables.negated, v_neg, v_pos)
-        values[tables.empty] = 0.0
-        return values.astype(np.float32)
-
-    def _pair_values_block(
-        self, tables: _ClassTables, qmat: np.ndarray
-    ) -> np.ndarray:
-        """V[b, c, h] for a block of queries, via one stacked matmul.
-
-        The per-query ``(n_c x |G|) @ (|G| x n_o)`` products collapse into a
-        single ``(B·n_c x |G|) @ (|G| x n_o)`` matmul — the batched kernel's
-        dominant-cost amortization.
-        """
-        cols = self._sparse_columns(qmat)
-        if cols is not None:
-            Qf = qmat[:, cols].astype(np.float32)           # (B, |cols|)
-            inside_f = tables.inside_f[:, cols]
-            outside_f = tables.outside_f[:, cols]
-        else:
-            Qf = qmat.astype(np.float32)                    # (B, |G|)
-            inside_f = tables.inside_f
-            outside_f = tables.outside_f
-        hq = Qf @ outside_f.T                               # (B, n_o)
-        cq = Qf @ inside_f.T                                # (B, n_c)
-        n_b, n_width = Qf.shape
-        n_c = tables.inside.shape[0]
-        masked = inside_f[None, :, :] * Qf[:, None, :]
-        chq = (masked.reshape(n_b * n_c, n_width) @ outside_f.T).reshape(
-            n_b, n_c, -1
-        )                                                   # (B, n_c, n_o)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sat_neg = tables.len_neg[None, :, :] - (hq[:, None, :] - chq)
-            v_neg = np.where(
-                tables.len_neg[None, :, :] > 0,
-                sat_neg / tables.len_neg[None, :, :],
-                0.0,
-            )
-            sat_pos = cq[:, :, None] - chq
-            v_pos = np.where(
-                tables.len_pos[None, :, :] > 0,
-                sat_pos / tables.len_pos[None, :, :],
-                0.0,
-            )
-        values = np.where(tables.negated[None, :, :], v_neg, v_pos)
-        values[:, tables.empty] = 0.0
-        return values.astype(np.float32)
-
-    # ------------------------------------------------------------------
-    # Pair values: compiled plan path
-    # ------------------------------------------------------------------
-    def _pair_values_plan(self, pc: PlanClass, qvec: np.ndarray) -> np.ndarray:
-        """The fused-weight form of :meth:`_pair_values`: one selection on
-        ``pair_neg`` and one guarded division by ``pair_len``.  Bit-identical
-        — the satisfied-literal counts are exact small-integer float32
-        arithmetic and the division operands are unchanged."""
-        cols = self._sparse_columns(qvec)
-        if cols is not None:
-            q = qvec[cols].astype(np.float32)
-            inside_f = pc.inside_f[:, cols]
-            outside_f = pc.outside_f[:, cols]
-        else:
-            q = qvec.astype(np.float32)
-            inside_f = pc.inside_f
-            outside_f = pc.outside_f
-        hq = outside_f @ q
-        cq = inside_f @ q
-        chq = (inside_f * q[None, :]) @ outside_f.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sat = np.where(
-                pc.pair_neg, pc.pair_len - (hq[None, :] - chq),
-                cq[:, None] - chq,
-            )
-            values = np.where(pc.pair_len > 0, sat / pc.pair_len, 0.0)
-        return values.astype(np.float32, copy=False)
-
     def _pair_values_block_plan(
         self, pc: PlanClass, qmat: np.ndarray
     ) -> np.ndarray:
@@ -514,35 +246,6 @@ class FastBSTCEvaluator:
             )
         return values.astype(np.float32, copy=False)
 
-    # ------------------------------------------------------------------
-    # Cell combination
-    # ------------------------------------------------------------------
-    def _combine_chunk(
-        self,
-        pair_values: np.ndarray,  # (n_c, n_o)
-        outside_mask: np.ndarray,  # bool (n_o, b): which h express each gene
-    ) -> np.ndarray:
-        """Cell values (n_c, b) for a chunk of genes: combine each gene's
-        expressing-outside-sample pair values; empty (black dot) -> 1."""
-        n_c = pair_values.shape[0]
-        if outside_mask.shape[0] == 0:
-            # No outside samples at all: every non-blank cell is a black dot.
-            return np.ones((n_c, outside_mask.shape[1]), dtype=np.float32)
-        counts = outside_mask.sum(axis=0)  # (b,)
-        mask3 = outside_mask[None, :, :]   # (1, n_o, b)
-        expanded = pair_values[:, :, None]  # (n_c, n_o, 1)
-        if self.arithmetization == "min":
-            cells = np.where(mask3, expanded, np.float32(np.inf)).min(axis=1)
-        elif self.arithmetization == "product":
-            cells = np.where(mask3, expanded, np.float32(1.0)).prod(axis=1)
-        else:  # mean
-            sums = np.where(mask3, expanded, np.float32(0.0)).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cells = np.where(counts[None, :] > 0, sums / counts[None, :], 0.0)
-        # Black dots: no outside sample expresses the gene.
-        cells = np.where(counts[None, :] == 0, np.float32(1.0), cells)
-        return cells.astype(np.float32)
-
     def _reduce_segments(
         self, gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray
     ) -> np.ndarray:
@@ -556,179 +259,23 @@ class FastBSTCEvaluator:
         sums = np.add.reduceat(gathered, starts)
         return sums / lengths
 
-    def class_value(self, class_id: int, query: Query) -> float:
-        """BSTCE(T(class_id), Q) — Algorithm 5's classification value."""
-        if self._integrity_guard is not None:
-            self._integrity_guard()
-        entry = self._per_class()[class_id]
-        if entry is None:
-            return 0.0
-        return self._class_value_from_vec(entry, self._as_vector(query))
-
-    def _class_value_from_vec(self, entry, qvec: np.ndarray) -> float:
-        """:meth:`class_value` on an already-converted indicator vector, so
-        the per-class loop of :meth:`classification_values` converts the
-        query once instead of once per class.  ``entry`` is a
-        :class:`_ClassTables` or a :class:`~repro.core.plan.PlanClass` —
-        the single-query combine only touches their shared row blocks, plus
-        the matching pair-value kernel."""
-        genes = np.flatnonzero(qvec & entry.gene_mask)
-        if genes.size == 0:
-            return 0.0
-        if isinstance(entry, PlanClass):
-            pair_values = self._pair_values_plan(entry, qvec)
-        else:
-            pair_values = self._pair_values(entry, qvec)
-        n_c = entry.inside.shape[0]
-        col_sum = np.zeros(n_c, dtype=np.float64)
-        col_count = np.zeros(n_c, dtype=np.float64)
-        for start in range(0, genes.size, _GENE_CHUNK):
-            chunk = genes[start : start + _GENE_CHUNK]
-            outside_mask = entry.outside[:, chunk]  # (n_o, b)
-            cells = self._combine_chunk(pair_values, outside_mask)  # (n_c, b)
-            exists = entry.inside[:, chunk]  # (n_c, b): cell non-blank
-            col_sum += (cells * exists).sum(axis=1)
-            col_count += exists.sum(axis=1)
-        nonblank = col_count > 0
-        if not nonblank.any():
-            return 0.0
-        column_means = col_sum[nonblank] / col_count[nonblank]
-        return float(column_means.mean())
-
-    # ------------------------------------------------------------------
-    # Batched kernels
-    # ------------------------------------------------------------------
-    def _class_values_block(
-        self, tables: _ClassTables, qmat: np.ndarray
-    ) -> np.ndarray:
-        """BSTCE values of one class for a block of stacked queries.
-
-        Column counts and black-dot contributions are two batched boolean
-        matmuls.  The remaining cells reduce over *only* the non-blank
-        (query, gene, inside-row) combinations: each such cell is one
-        contiguous segment — the outside rows expressing its gene — of a
-        flat gathered pair-value stream, combined with a single ``reduceat``
-        per chunk.  Blank cells (inside row lacks the gene) never enter the
-        stream, so the reduction work scales with the matrix density instead
-        of the full ``n_c`` height.  Cell values accumulate through one
-        final ``bincount`` over the whole block (not one per chunk), so the
-        result is invariant to where the stream-budget chunking lands — the
-        property that keeps this path bit-identical to the plan kernel,
-        whose culled stream chunks at different boundaries.
-        """
-        n_b = qmat.shape[0]
-        values = np.zeros(n_b, dtype=np.float64)
-        relevant = qmat & tables.gene_mask[None, :]  # (B, n_items)
-        if not relevant.any():
-            return values
-        rel_f = relevant.astype(np.float32)
-        # Non-blank cells per column: |Q_b ∩ items(c)|.
-        col_count = (rel_f @ tables.inside_f.T).astype(np.float64)  # (B, n_c)
-        # Black dots (no outside row expresses the gene) are valued 1.
-        col_sum = (
-            (relevant & tables.blackdot_mask).astype(np.float32)
-            @ tables.inside_f.T
-        ).astype(np.float64)
-        n_c, n_o = tables.inside.shape[0], tables.outside.shape[0]
-        b_idx, g_idx = np.nonzero(relevant & (tables.outside_counts > 0))
-        if b_idx.size:
-            pair_values = self._pair_values_block(tables, qmat)  # (B, n_c, n_o)
-            flat_pairs = pair_values.transpose(1, 0, 2).reshape(n_c, n_b * n_o)
-            flat1 = flat_pairs.ravel()
-            # Gene-major CSR of ``inside`` (precomputed at fit time): which
-            # class rows express each gene — exactly the non-blank cells of
-            # each (query, gene) pair.
-            ins_c = tables.inside_rows
-            ins_offsets = tables.inside_row_offsets
-            rows_per_seg = ins_offsets[g_idx + 1] - ins_offsets[g_idx]
-            keep = rows_per_seg > 0
-            if not keep.all():
-                b_idx = b_idx[keep]
-                g_idx = g_idx[keep]
-                rows_per_seg = rows_per_seg[keep]
-        if b_idx.size:
-            seg_lengths = tables.outside_counts[g_idx]
-            seg_stream = rows_per_seg * seg_lengths
-            cum_stream = np.cumsum(seg_stream)
-            n_segs = g_idx.size
-            code_chunks: List[np.ndarray] = []
-            val_chunks: List[np.ndarray] = []
-            # Chunk segments so the flat stream (values + index temporaries)
-            # respects the element budget.
-            stream_budget = max(1, _CELL_BUDGET >> 2)
-            start_seg = 0
-            while start_seg < n_segs:
-                base = int(cum_stream[start_seg]) - int(seg_stream[start_seg])
-                end_seg = int(
-                    np.searchsorted(cum_stream, base + stream_budget, "left")
-                ) + 1
-                end_seg = min(max(end_seg, start_seg + 1), n_segs)
-                g_ch = g_idx[start_seg:end_seg]
-                b_ch = b_idx[start_seg:end_seg]
-                rc_ch = rows_per_seg[start_seg:end_seg]
-                len_ch = seg_lengths[start_seg:end_seg]
-                # One cell per (segment, expressing inside row).
-                cum_rc = np.cumsum(rc_ch)
-                n_cells = int(cum_rc[-1])
-                cell_seg = np.repeat(np.arange(end_seg - start_seg), rc_ch)
-                cell_row = ins_c[
-                    np.arange(n_cells, dtype=np.int64)
-                    - np.repeat(cum_rc - rc_ch, rc_ch)
-                    + np.repeat(ins_offsets[g_ch], rc_ch)
-                ]
-                # Each cell's segment: the outside rows expressing its gene,
-                # gathered from query b's slice of the flat pair values.
-                cell_len = len_ch[cell_seg]
-                cum_e = np.cumsum(cell_len)
-                e_starts = cum_e - cell_len
-                total_e = int(cum_e[-1])
-                # h_flat positions: one shifted arange per cell, expanded in
-                # a single repeat (cell-level math stays tiny).
-                h_base = tables.h_offsets[g_ch][cell_seg]
-                pos = np.arange(total_e, dtype=np.int64) + np.repeat(
-                    h_base - e_starts, cell_len
-                )
-                cell_base = cell_row * (n_b * n_o) + b_ch[cell_seg] * n_o
-                flat_idx = np.repeat(cell_base, cell_len) + tables.h_flat[pos]
-                cell_vals = self._reduce_segments(
-                    flat1[flat_idx], e_starts, cell_len.astype(np.float32)
-                ).astype(np.float64)
-                code_chunks.append(b_ch[cell_seg] * n_c + cell_row)
-                val_chunks.append(cell_vals)
-                start_seg = end_seg
-            codes = (
-                code_chunks[0]
-                if len(code_chunks) == 1
-                else np.concatenate(code_chunks)
-            )
-            vals = (
-                val_chunks[0]
-                if len(val_chunks) == 1
-                else np.concatenate(val_chunks)
-            )
-            # Accumulate each cell onto its (query, class) column sum.
-            col_sum += np.bincount(
-                codes, weights=vals, minlength=n_b * n_c
-            ).reshape(n_b, n_c)
-        nonblank = col_count > 0
-        safe_count = np.where(nonblank, col_count, 1.0)
-        column_means = np.where(nonblank, col_sum / safe_count, 0.0)
-        n_cols = nonblank.sum(axis=1)
-        has_cols = n_cols > 0
-        values[has_cols] = column_means.sum(axis=1)[has_cols] / n_cols[has_cols]
-        return values
-
     def _class_values_block_plan(
         self, pc: PlanClass, qmat: np.ndarray
     ) -> np.ndarray:
-        """The plan-kernel form of :meth:`_class_values_block`.
+        """BSTCE values of one class for a block of stacked queries.
 
-        Same cell enumeration over the inside CSR, but the pair values come
-        out class-major (no transpose copy), the outside stream is the
-        plan's duplicate-culled CSR (bit-identical under ``min``; the
-        stream is uncully for ``product``/``mean``), and the gathers run on
-        the arena's downcast index dtypes (widened to int64 only for the
-        flat-address arithmetic, which can exceed int32).
+        Column counts and black-dot contributions are two batched matmuls.
+        The remaining cells reduce over *only* the non-blank (query, gene,
+        inside-row) combinations, enumerated from the inside CSR: each such
+        cell is one contiguous segment — the (duplicate-culled, under
+        ``min``) outside rows expressing its gene — of a flat gathered
+        pair-value stream, combined with a single ``reduceat`` per chunk.
+        Cell values accumulate through one final ``bincount`` over the whole
+        block, so a query's column sums see its cells in the same order
+        whatever its batchmates are and wherever the stream-budget chunking
+        lands.  The gathers run on the arena's downcast index dtypes
+        (widened to int64 only for the flat-address arithmetic, which can
+        exceed int32).
         """
         n_b = qmat.shape[0]
         values = np.zeros(n_b, dtype=np.float64)
@@ -794,8 +341,7 @@ class FastBSTCEvaluator:
                     h_base - e_starts, cell_len
                 )
                 # Class-major flat layout: cell (c, b, h) lives at
-                # c·(B·n_o) + b·n_o + h — the same formula the legacy path
-                # reaches only after a transpose copy.
+                # c·(B·n_o) + b·n_o + h.
                 cell_base = cell_row * (n_b * n_o) + b_ch[cell_seg] * n_o
                 flat_idx = np.repeat(cell_base, cell_len) + pc.h_flat[pos]
                 cell_vals = self._reduce_segments(
@@ -826,21 +372,9 @@ class FastBSTCEvaluator:
         return values
 
     def classification_values(self, query: Query) -> np.ndarray:
-        """CV(i) for every class, as Algorithm 6 line 4 computes them."""
-        if self._integrity_guard is not None:
-            self._integrity_guard()
-        qvec = self._as_vector(query)
-        with engine_counters.track("query"):
-            engine_counters.increment("query_calls")
-            return np.array(
-                [
-                    0.0
-                    if entry is None
-                    else self._class_value_from_vec(entry, qvec)
-                    for entry in self._per_class()
-                ],
-                dtype=np.float64,
-            )
+        """CV(i) for every class, as Algorithm 6 line 4 computes them — the
+        batch kernel on a batch of one."""
+        return self.classification_values_batch([query])[0]
 
     def classification_values_batch(
         self, queries: Union[Sequence[Query], np.ndarray]
@@ -848,9 +382,9 @@ class FastBSTCEvaluator:
         """CV(i) for every class of every query — shape ``(n_queries,
         n_classes)``.
 
-        Equivalent to stacking :meth:`classification_values` over the batch
-        (their agreement is property-tested) but computed with batched
-        matmuls and a gene reduction shared across each block of
+        Each query's row is bit-identical to :meth:`classification_values`
+        on that query alone (property-tested): the batch only shares the
+        matmuls and the gene reduction across each block of
         ``_BATCH_BLOCK`` queries.
         """
         if self._integrity_guard is not None:
@@ -866,14 +400,11 @@ class FastBSTCEvaluator:
             engine_counters.observe_max("max_batch_size", n_q)
             for start in range(0, n_q, _BATCH_BLOCK):
                 block = qmat[start : start + _BATCH_BLOCK]
-                for class_id, entry in enumerate(self._per_class()):
-                    if entry is None:
-                        continue
-                    if isinstance(entry, PlanClass):
-                        rows = self._class_values_block_plan(entry, block)
-                    else:
-                        rows = self._class_values_block(entry, block)
-                    out[start : start + _BATCH_BLOCK, class_id] = rows
+                for class_id, pc in enumerate(self._plan.classes):
+                    if pc is not None:
+                        out[start : start + _BATCH_BLOCK, class_id] = (
+                            self._class_values_block_plan(pc, block)
+                        )
         return out
 
 
@@ -917,8 +448,8 @@ def get_evaluator(
     Keyed on ``(dataset.fingerprint, arithmetization)`` — a content hash,
     not object identity — so repeated cross-validation phases, ablations
     over arithmetizations, and CLI invocations on identical training data
-    reuse one set of per-class tables.  Lookups and mutations are
-    lock-guarded (thread-safe); the expensive table build runs outside the
+    reuse one compiled plan.  Lookups and mutations are
+    lock-guarded (thread-safe); the expensive plan compile runs outside the
     lock, so concurrent first requests may build twice but the cache never
     blocks on a build.  Hit/miss/evict counts feed the shared
     :data:`repro.evaluation.timing.engine_counters`.

@@ -1,18 +1,17 @@
 """Ahead-of-time compiled evaluation plans: one structure-of-arrays arena.
 
-The batched BSTCE kernel used to walk 16 loosely related per-class arrays
-(:class:`repro.core.fast._ClassTables`) with int64/float64-heavy dtypes.
-This module fuses them, at fit/save time, into a single flat
-**structure-of-arrays arena** the kernel evaluates from directly:
+:func:`compile_plan` builds, at fit time and straight from each class's
+inside/outside row blocks, the single flat **structure-of-arrays arena**
+the BSTCE kernel (:mod:`repro.core.fast`) evaluates from:
 
-* **Fused pair weights** — the four per-pair arrays ``len_neg`` /
-  ``len_pos`` / ``negated`` / ``empty`` (10 bytes per pair) collapse into
-  ``pair_len`` (the selected list's length; ``0`` marks the empty list)
-  and ``pair_neg`` (which form was selected) — 5 bytes per pair.  The
-  selection is bit-identical to the legacy where-chains because every
-  satisfied-literal count is small-integer float32 arithmetic (exact below
-  2**24) and the single rounding operation, the final ``sat / len``
-  division, keeps exactly the same operands.
+* **Fused pair weights** — the exclusion list of a pair ``(c, h)`` is the
+  negated ``items(h) - items(c)`` when that is non-empty, else the positive
+  ``items(c) - items(h)``.  ``pair_neg`` records which form was selected
+  and ``pair_len`` its length (``0`` marks the empty list): 5 bytes per
+  pair.  Both come from one ``|c ∩ h|`` matmul per class; every count is
+  small-integer float32 arithmetic (exact below 2**24), so the kernel's
+  single rounding operation, the final ``sat / len`` division, always
+  sees exact operands.
 * **Downcast dtypes** — index arrays (CSR offsets, row ids, counts) store
   as int32 and pair lengths as float32 *when the ranges permit*, with
   explicit overflow guards: a value past :data:`INT32_MAX` /
@@ -54,10 +53,9 @@ __all__ = [
     "FLOAT32_EXACT_MAX",
     "INT32_MAX",
     "PlanClass",
-    "compile_plan_from_tables",
+    "compile_plan",
     "plan_from_arena",
     "recompile_delta",
-    "tables_hot_nbytes",
 ]
 
 #: Largest index an int32 arena can address; anything larger falls back to
@@ -134,24 +132,6 @@ class EvaluationPlan:
         return sum(int(a.nbytes) for a in self.arena.values())
 
 
-def tables_hot_nbytes(tables: Sequence[Optional[object]]) -> int:
-    """The legacy ``_ClassTables`` equivalent of
-    :meth:`EvaluationPlan.hot_nbytes`, for the bytes-per-query comparison
-    gated in ``bench_micro``."""
-    legacy_fields = (
-        "inside", "outside", "inside_f", "outside_f",
-        "len_neg", "len_pos", "negated", "empty", "inside_sizes",
-        "gene_mask", "outside_counts", "blackdot_mask",
-        "h_flat", "h_offsets", "inside_rows", "inside_row_offsets",
-    )
-    total = 0
-    for t in tables:
-        if t is None:
-            continue
-        total += sum(int(getattr(t, name).nbytes) for name in legacy_fields)
-    return total
-
-
 def _empty(dtype: np.dtype) -> np.ndarray:
     return np.zeros(0, dtype=dtype)
 
@@ -162,6 +142,46 @@ def _concat(pieces: List[np.ndarray], dtype: np.dtype) -> np.ndarray:
     return np.concatenate([np.ascontiguousarray(p.ravel()) for p in pieces])
 
 
+#: One class's compile output: ``(raw arena pieces, geometry row, max
+#: index, max weight, culled refs)`` — what :func:`_raw_for_class` and
+#: :func:`_raw_for_class_delta` return; ``None`` marks an absent class.
+ClassPieces = Tuple[
+    Dict[str, np.ndarray], Tuple[int, int, int, int], int, float, int
+]
+
+
+def _pair_weights(
+    inside_f: np.ndarray, outside_f: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(pair_len, pair_neg)`` for every (inside row, outside row) pair of
+    two float32 row blocks: the negated list ``h - c`` when it is
+    non-empty, else the positive list ``c - h`` (see the module
+    docstring).  Shared by the cold compile and every delta block, so both
+    produce byte-identical weights."""
+    inter = inside_f @ outside_f.T  # |c ∩ h|
+    len_neg = outside_f.sum(axis=1)[None, :] - inter
+    len_pos = inside_f.sum(axis=1)[:, None] - inter
+    pair_neg = len_neg > 0
+    return np.where(pair_neg, len_neg, len_pos), pair_neg
+
+
+def _cold_class(
+    class_id: int,
+    inside: np.ndarray,
+    outside: np.ndarray,
+    n_items: int,
+    arithmetization: str,
+) -> ClassPieces:
+    """One class's raw arena pieces computed from scratch."""
+    pair_len, pair_neg = _pair_weights(
+        inside.astype(np.float32), outside.astype(np.float32)
+    )
+    return _raw_for_class(
+        class_id, inside, outside, pair_len, pair_neg, n_items,
+        arithmetization,
+    )
+
+
 def _raw_for_class(
     class_id: int,
     inside: np.ndarray,
@@ -170,7 +190,7 @@ def _raw_for_class(
     pair_neg: np.ndarray,
     n_items: int,
     arithmetization: str,
-) -> Tuple[Dict[str, np.ndarray], Tuple[int, int, int, int], int, float, int]:
+) -> ClassPieces:
     """One class's raw arena pieces from its row blocks and pair weights.
 
     Returns ``(raw, geometry_row, max_index, max_weight, culled_refs)``.
@@ -237,20 +257,17 @@ def _gene_major_merge(
 
     Returns ``(flat, counts, offsets)`` with int64 entries; byte-identical
     to rebuilding the list from the stacked boolean blocks, at O(total
-    entries) scatter cost instead of an O(rows × genes) ``np.nonzero``.
+    entries) copy cost instead of an O(rows × genes) ``np.nonzero``.
     """
     counts = old_counts + new_counts
     offsets = np.zeros(n_items, dtype=np.int64)
     if n_items > 1:
         np.cumsum(counts[:-1], out=offsets[1:])
     flat = np.empty(old_flat.size + new_flat.size, dtype=np.int64)
-    if old_flat.size:
-        old_offsets = np.zeros(n_items, dtype=np.int64)
-        if n_items > 1:
-            np.cumsum(old_counts[:-1], out=old_offsets[1:])
-        dest = np.arange(old_flat.size, dtype=np.int64)
-        dest += np.repeat(offsets - old_offsets, old_counts)
-        flat[dest] = old_flat
+    # Scatter the (few) new ids to the end of their genes' segments; the
+    # (many) old ids then fill the remaining slots in order with one
+    # boolean-mask copy instead of an index scatter.
+    is_new = np.zeros(flat.size, dtype=bool)
     if new_flat.size:
         new_offsets = np.zeros(n_items, dtype=np.int64)
         if n_items > 1:
@@ -258,6 +275,8 @@ def _gene_major_merge(
         dest = np.arange(new_flat.size, dtype=np.int64)
         dest += np.repeat(offsets + old_counts - new_offsets, new_counts)
         flat[dest] = new_flat
+        is_new[dest] = True
+    flat[~is_new] = old_flat
     return flat, counts, offsets
 
 
@@ -269,7 +288,7 @@ def _raw_for_class_delta(
     pair_neg: np.ndarray,
     n_items: int,
     arithmetization: str,
-) -> Tuple[Dict[str, np.ndarray], Tuple[int, int, int, int], int, float, int]:
+) -> ClassPieces:
     """The delta counterpart of :func:`_raw_for_class`: rebuild one class's
     raw arena pieces from the base class views plus the appended row blocks.
 
@@ -358,15 +377,27 @@ def _raw_for_class_delta(
 
 
 def _build_arena(
-    raw: Sequence[Optional[Dict[str, np.ndarray]]],
-    geometry: np.ndarray,
+    classes: Sequence[Optional[ClassPieces]],
     n_items: int,
-    culled_refs: int,
-    max_index: int,
-    max_weight: float,
+    culled_refs: int = 0,
 ) -> EvaluationPlan:
-    """Dtype guards + per-field concatenation: the shared arena-assembly
-    tail of the cold compile and the delta recompile."""
+    """Geometry table, dtype guards and per-field concatenation: the shared
+    arena-assembly tail of the cold compile and the delta recompile.
+    ``culled_refs`` is added to the per-class counts (the delta recompile
+    passes the base plan's total)."""
+    geometry = np.zeros((len(classes), GEOMETRY_COLUMNS), dtype=np.int64)
+    raw: List[Dict[str, np.ndarray]] = []
+    max_index = 0
+    max_weight = 0.0
+    for class_id, pieces in enumerate(classes):
+        if pieces is None:
+            continue
+        cls_raw, geometry_row, cls_index, cls_weight, cls_culled = pieces
+        geometry[class_id] = geometry_row
+        max_index = max(max_index, cls_index)
+        max_weight = max(max_weight, cls_weight)
+        culled_refs += cls_culled
+        raw.append(cls_raw)
     # Overflow guards: downcast only when the observed ranges permit.
     if max_index <= INT32_MAX:
         index_dtype = np.dtype(np.int32)
@@ -387,26 +418,28 @@ def _build_arena(
         # The delta path hands row-block fields over as (base, new) piece
         # tuples so the stacked array is never built twice: flattened
         # here, each block is copied exactly once — into the arena.
-        pieces = []
+        pieces_of_field = []
         for r in raw:
-            if r is None:
-                continue
             value = r[name]
             if isinstance(value, tuple):
-                pieces.extend(value)
+                pieces_of_field.extend(value)
             else:
-                pieces.append(value)
+                pieces_of_field.append(value)
         if name in index_fields:
             dtype = index_dtype
-            pieces = [p.astype(dtype, copy=False) for p in pieces]
+            pieces_of_field = [
+                p.astype(dtype, copy=False) for p in pieces_of_field
+            ]
         elif name == "pair_len":
             dtype = weight_dtype
-            pieces = [p.astype(dtype, copy=False) for p in pieces]
+            pieces_of_field = [
+                p.astype(dtype, copy=False) for p in pieces_of_field
+            ]
         elif name in ("inside_f", "outside_f"):
             dtype = np.dtype(np.float32)
         else:
             dtype = np.dtype(bool)
-        arena[name] = _concat(pieces, dtype)
+        arena[name] = _concat(pieces_of_field, dtype)
     engine_counters.increment("plan_compiles")
     if culled_refs:
         engine_counters.increment("plan_culled_refs", culled_refs)
@@ -415,51 +448,31 @@ def _build_arena(
     )
 
 
-def compile_plan_from_tables(
-    tables: Sequence[Optional[object]],
-    n_items: int,
-    arithmetization: str = "min",
-) -> EvaluationPlan:
-    """Fuse legacy per-class tables into one compiled arena.
+def compile_plan(dataset, arithmetization: str = "min") -> EvaluationPlan:
+    """Compile a training dataset into one evaluation arena.
 
-    ``tables`` is a sequence of ``_ClassTables``-shaped objects (duck
-    typed: ``inside``/``outside``/``len_neg``/``len_pos``/``negated``
-    attributes) or ``None`` for absent classes.  Deterministic: the same
-    tables always compile to byte-identical arenas.
+    Each class's pair weights come from one ``|c ∩ h|`` matmul of its
+    inside against its outside row block; a class with no training sample
+    is absent (its classification value is 0 for every query).
+    Deterministic: the same dataset always compiles to byte-identical
+    arenas.
     """
-    n_classes = len(tables)
-    geometry = np.zeros((n_classes, GEOMETRY_COLUMNS), dtype=np.int64)
-    raw: List[Optional[Dict[str, np.ndarray]]] = []
-    culled_refs = 0
-    max_index = 0
-    max_weight = 0.0
-    for class_id, t in enumerate(tables):
-        if t is None:
-            raw.append(None)
+    matrix = dataset.bool_matrix
+    labels = dataset.label_array
+    n_items = int(matrix.shape[1])
+    classes: List[Optional[ClassPieces]] = []
+    for class_id in range(dataset.n_classes):
+        member_mask = labels == class_id
+        if not member_mask.any():
+            classes.append(None)
             continue
-        inside = np.asarray(t.inside, dtype=bool)
-        outside = np.asarray(t.outside, dtype=bool)
-        negated = np.asarray(t.negated)
-        # Keep the source precision here; the cast to the plan's weight
-        # dtype happens once, at arena build, after the overflow guard has
-        # seen the true maximum.
-        pair_len = np.where(
-            negated, np.asarray(t.len_neg), np.asarray(t.len_pos)
-        )
-        pieces, geometry_row, cls_index, cls_weight, cls_culled = (
-            _raw_for_class(
-                class_id, inside, outside, pair_len,
-                negated.astype(bool, copy=False), n_items, arithmetization,
+        classes.append(
+            _cold_class(
+                class_id, matrix[member_mask], matrix[~member_mask],
+                n_items, arithmetization,
             )
         )
-        geometry[class_id] = geometry_row
-        max_index = max(max_index, cls_index)
-        max_weight = max(max_weight, cls_weight)
-        culled_refs += cls_culled
-        raw.append(pieces)
-    return _build_arena(
-        raw, geometry, n_items, culled_refs, max_index, max_weight
-    )
+    return _build_arena(classes, n_items)
 
 
 def recompile_delta(
@@ -477,11 +490,10 @@ def recompile_delta(
     ``old_c × new_h`` and ``new_c × all_h`` blocks run fresh matmuls.
     The dominant cost drops from O(n² × genes) to O(n × Δ × genes) for a
     Δ-row append, and the result is **byte-identical** to
-    :func:`compile_plan_from_tables` over cold-built tables of the grown
-    dataset (equivalence-gated in tests and ``bench_micro``): appended
-    rows take the highest indices, so class member order, outside order,
-    gene-major CSR order, and the duplicate-cull keep mask of old rows
-    are all stable.
+    :func:`compile_plan` over the grown dataset (equivalence-gated in
+    tests and ``bench_micro``): appended rows take the highest indices, so
+    class member order, outside order, gene-major CSR order, and the
+    duplicate-cull keep mask of old rows are all stable.
 
     ``dataset`` must extend the base plan's training data append-only —
     the first ``base_n_samples`` rows and the class vocabulary unchanged
@@ -513,17 +525,11 @@ def recompile_delta(
     old_labels = labels[:old_n]
     new_rows = matrix[old_n:]
     new_labels = labels[old_n:]
-    geometry = np.zeros(
-        (base_plan.n_classes, GEOMETRY_COLUMNS), dtype=np.int64
-    )
-    raw: List[Optional[Dict[str, np.ndarray]]] = []
     # Delta classes report only the references culled from their appended
     # rows (the prefix-stable cull leaves the base contribution intact);
     # cold classes — absent from the base plan, so charged 0 there — still
     # report their full count.
-    culled_refs = base_plan.culled_refs
-    max_index = 0
-    max_weight = 0.0
+    classes: List[Optional[ClassPieces]] = []
     for class_id in range(base_plan.n_classes):
         pc = base_plan.classes[class_id]
         member_mask = new_labels == class_id
@@ -537,110 +543,79 @@ def recompile_delta(
                     " is not an append-only extension of the plan's"
                     " training data"
                 )
-            inside = new_inside
-            if inside.shape[0] == 0:
-                raw.append(None)
-                continue
             # First samples of a previously-absent class: cold build, but
             # the matmul is (Δ_c × genes) @ (genes × n_o) — delta-sized.
-            outside = matrix[labels != class_id]
-            ins_f = inside.astype(np.float32)
-            outs_f = outside.astype(np.float32)
-            inter = ins_f @ outs_f.T
-            len_neg = outs_f.sum(axis=1)[None, :] - inter
-            len_pos = ins_f.sum(axis=1)[:, None] - inter
-            pair_neg = len_neg > 0
-            pair_len = np.where(pair_neg, len_neg, len_pos)
-        else:
-            n_c_old = int(pc.inside.shape[0])
-            n_o_old = int(pc.outside.shape[0])
-            if (
-                n_c_old != int((old_labels == class_id).sum())
-                or n_o_old != old_n - n_c_old
-            ):
-                raise ValueError(
-                    f"class {class_id}: base plan geometry does not match"
-                    f" the first {old_n} rows of the dataset"
-                )
-            # Content check: every class's stored member rows must equal
-            # the dataset's prefix members verbatim (which, across all
-            # classes, pins every old row and label — the outside blocks
-            # follow).  One O(old rows × genes) memcmp-speed pass; without
-            # it a reordered or edited dataset would silently inherit the
-            # base arena's weights.
-            if not np.array_equal(
-                pc.inside, matrix[:old_n][old_labels == class_id]
-            ):
-                raise ValueError(
-                    f"class {class_id}: the first {old_n} dataset rows do"
-                    " not reproduce the base plan's training rows — dataset"
-                    " is not an append-only extension of the plan's"
-                    " training data"
-                )
-            n_c = n_c_old + int(new_inside.shape[0])
-            n_o = n_o_old + int(new_outside.shape[0])
-            pair_len = np.empty((n_c, n_o), dtype=np.float32)
-            pair_neg = np.empty((n_c, n_o), dtype=bool)
-            # Old block: verbatim reuse.  A float64 (wide) base arena holds
-            # exactly the float32-computed source values upcast, so the
-            # round trip back to float32 is lossless.
-            pair_len[:n_c_old, :n_o_old] = pc.pair_len
-            pair_neg[:n_c_old, :n_o_old] = pc.pair_neg
-            new_outs_f = new_outside.astype(np.float32)
-            if n_o > n_o_old:
-                # old_c × new_h: the base class rows against appended
-                # outside rows.
-                inter = pc.inside_f @ new_outs_f.T
-                len_neg = new_outs_f.sum(axis=1)[None, :] - inter
-                len_pos = pc.inside_f.sum(axis=1)[:, None] - inter
-                neg = len_neg > 0
-                pair_len[:n_c_old, n_o_old:] = np.where(
-                    neg, len_neg, len_pos
-                )
-                pair_neg[:n_c_old, n_o_old:] = neg
-            if n_c > n_c_old:
-                # new_c × all_h, one GEMM per outside block so the stacked
-                # outside never materializes.  Splitting the product along
-                # its columns is bit-identical to the fused form: every
-                # accumulated value is a small integer (< 2**24), exact in
-                # float32 under any summation order.
-                new_ins_f = new_inside.astype(np.float32)
-                ins_sizes = new_ins_f.sum(axis=1)[:, None]
-                col0 = 0
-                for outs_f in (pc.outside_f, new_outs_f):
-                    col1 = col0 + int(outs_f.shape[0])
-                    inter = new_ins_f @ outs_f.T
-                    len_neg = outs_f.sum(axis=1)[None, :] - inter
-                    len_pos = ins_sizes - inter
-                    neg = len_neg > 0
-                    pair_len[n_c_old:, col0:col1] = np.where(
-                        neg, len_neg, len_pos
-                    )
-                    pair_neg[n_c_old:, col0:col1] = neg
-                    col0 = col1
-        if pc is None:
-            pieces, geometry_row, cls_index, cls_weight, cls_culled = (
-                _raw_for_class(
-                    class_id, inside, outside, pair_len, pair_neg,
+            classes.append(
+                None
+                if new_inside.shape[0] == 0
+                else _cold_class(
+                    class_id, new_inside, matrix[labels != class_id],
                     n_items, arithmetization,
                 )
             )
-        else:
-            pieces, geometry_row, cls_index, cls_weight, cls_culled = (
-                _raw_for_class_delta(
-                    pc, new_inside, new_outside, pair_len, pair_neg,
-                    n_items, arithmetization,
-                )
+            continue
+        n_c_old = int(pc.inside.shape[0])
+        n_o_old = int(pc.outside.shape[0])
+        if (
+            n_c_old != int((old_labels == class_id).sum())
+            or n_o_old != old_n - n_c_old
+        ):
+            raise ValueError(
+                f"class {class_id}: base plan geometry does not match"
+                f" the first {old_n} rows of the dataset"
             )
-        geometry[class_id] = geometry_row
-        max_index = max(max_index, cls_index)
-        max_weight = max(max_weight, cls_weight)
-        culled_refs += cls_culled
-        raw.append(pieces)
+        # Content check: every class's stored member rows must equal the
+        # dataset's prefix members verbatim (which, across all classes,
+        # pins every old row and label — the outside blocks follow).  One
+        # O(old rows × genes) memcmp-speed pass; without it a reordered or
+        # edited dataset would silently inherit the base arena's weights.
+        if not np.array_equal(
+            pc.inside, matrix[:old_n][old_labels == class_id]
+        ):
+            raise ValueError(
+                f"class {class_id}: the first {old_n} dataset rows do"
+                " not reproduce the base plan's training rows — dataset"
+                " is not an append-only extension of the plan's"
+                " training data"
+            )
+        n_c = n_c_old + int(new_inside.shape[0])
+        n_o = n_o_old + int(new_outside.shape[0])
+        pair_len = np.empty((n_c, n_o), dtype=np.float32)
+        pair_neg = np.empty((n_c, n_o), dtype=bool)
+        # Old block: verbatim reuse.  A float64 (wide) base arena holds
+        # exactly the float32-computed source values upcast, so the round
+        # trip back to float32 is lossless.
+        pair_len[:n_c_old, :n_o_old] = pc.pair_len
+        pair_neg[:n_c_old, :n_o_old] = pc.pair_neg
+        new_outs_f = new_outside.astype(np.float32)
+        if n_o > n_o_old:
+            # old_c × new_h: the base class rows against appended outside
+            # rows.
+            pair_len[:n_c_old, n_o_old:], pair_neg[:n_c_old, n_o_old:] = (
+                _pair_weights(pc.inside_f, new_outs_f)
+            )
+        if n_c > n_c_old:
+            # new_c × all_h, one GEMM per outside block so the stacked
+            # outside never materializes.  Splitting the product along its
+            # columns is bit-identical to the fused form: every accumulated
+            # value is a small integer (< 2**24), exact in float32 under
+            # any summation order.
+            new_ins_f = new_inside.astype(np.float32)
+            col0 = 0
+            for outs_f in (pc.outside_f, new_outs_f):
+                col1 = col0 + int(outs_f.shape[0])
+                pair_len[n_c_old:, col0:col1], pair_neg[n_c_old:, col0:col1] = (
+                    _pair_weights(new_ins_f, outs_f)
+                )
+                col0 = col1
+        classes.append(
+            _raw_for_class_delta(
+                pc, new_inside, new_outside, pair_len, pair_neg,
+                n_items, arithmetization,
+            )
+        )
     engine_counters.increment("plan_delta_recompiles")
-    return _build_arena(
-        raw, geometry, n_items, culled_refs, max_index, max_weight
-    )
+    return _build_arena(classes, n_items, base_plan.culled_refs)
 
 
 def _field_size(name: str, n_c: int, n_o: int, h_len: int, ir_len: int,
@@ -682,7 +657,7 @@ def plan_from_arena(
 ) -> EvaluationPlan:
     """Rebuild the per-class views over a (possibly memory-mapped) arena.
 
-    The inverse of the flattening in :func:`compile_plan_from_tables` and
+    The inverse of the flattening in :func:`compile_plan` and
     the zero-copy load path behind artifact format v2: every
     :class:`PlanClass` array is a slice of the corresponding arena member,
     so memmapped members stay memmapped all the way into the kernels.

@@ -45,7 +45,6 @@ from .driver import (
 from .metrics import (
     CATEGORIES,
     COUNTER_PAIRS,
-    LatencyHistogram,
     ReplayReport,
     reconcile,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "ChaosMix",
     "HttpTarget",
     "InProcessTarget",
-    "LatencyHistogram",
     "Outcome",
     "ReplayDriver",
     "ReplayReport",

@@ -2,13 +2,12 @@
 
 Two measurement problems, two tools:
 
-* :class:`LatencyHistogram` — tail latency without storing samples.
-  The class itself lives in :mod:`repro.evaluation.latency` (it is shared
-  with the benchmark suite, which must not import the replay stack) and
-  is re-exported here so existing ``repro.replay.metrics`` imports keep
-  working: constant memory with geometric buckets (ratio sqrt(2) from
-  0.1 ms to ~2 min, ~42 buckets), quantile relative error bounded at
-  ~41% of a bucket width, parallel reports merge by vector addition.
+* :class:`~repro.evaluation.latency.LatencyHistogram` — tail latency
+  without storing samples: constant memory with geometric buckets (ratio
+  sqrt(2) from 0.1 ms to ~2 min, ~42 buckets), quantile relative error
+  bounded at ~41% of a bucket width, parallel reports merge by vector
+  addition.  It lives in :mod:`repro.evaluation` because the benchmark
+  suite shares it and must not import the replay stack.
 
 * :class:`ReplayReport` + :func:`reconcile` — *exact* accounting.  The
   replay driver records one :class:`~repro.replay.driver.Outcome` per
@@ -34,7 +33,6 @@ from ..evaluation.latency import LatencyHistogram
 __all__ = [
     "CATEGORIES",
     "COUNTER_PAIRS",
-    "LatencyHistogram",
     "ReplayReport",
     "reconcile",
 ]

@@ -6,18 +6,12 @@ every slot of a :class:`~repro.serving.registry.ModelRegistry`, and the
 HTTP gateway's CLI wiring.  It replaces the kwarg pile that used to grow
 on ``PredictionService(...)``: construct one config, validate it once,
 hand it to as many services as you like.
-
-The old per-service keyword arguments still work for one release —
-``PredictionService(model, max_batch=8)`` folds them into a config and
-emits a :class:`DeprecationWarning` — so existing callers keep running
-while they migrate to ``PredictionService(model, ServeConfig(max_batch=8))``.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Any, Optional
 
 __all__ = ["ServeConfig"]
 
@@ -116,33 +110,3 @@ class ServeConfig:
     def with_overrides(self, **overrides: Any) -> "ServeConfig":
         """A copy with the given fields replaced (and re-validated)."""
         return replace(self, **overrides)
-
-
-_FIELD_NAMES = tuple(f.name for f in fields(ServeConfig))
-
-
-def coalesce_config(
-    config: Optional[ServeConfig], legacy: Dict[str, Any], owner: str
-) -> ServeConfig:
-    """Fold deprecated per-call keyword arguments into a :class:`ServeConfig`.
-
-    ``legacy`` keys must be config field names; unknown keys raise
-    :class:`TypeError` exactly like a wrong keyword argument would.  Any
-    legacy key emits one :class:`DeprecationWarning` naming the migration.
-    """
-    if not legacy:
-        return config if config is not None else ServeConfig()
-    unknown = sorted(set(legacy) - set(_FIELD_NAMES))
-    if unknown:
-        raise TypeError(
-            f"{owner} got unexpected keyword argument(s): {', '.join(unknown)}"
-        )
-    warnings.warn(
-        f"passing {', '.join(sorted(legacy))} directly to {owner} is"
-        f" deprecated; pass ServeConfig({', '.join(sorted(legacy))}=...)"
-        " instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    base = config if config is not None else ServeConfig()
-    return replace(base, **legacy)

@@ -75,7 +75,7 @@ from ..errors import (
     WorkerCrashed,
 )
 from ..evaluation.timing import EngineCounters, engine_counters
-from .config import ServeConfig, coalesce_config
+from .config import ServeConfig
 
 __all__ = [
     "CircuitOpen",
@@ -158,11 +158,6 @@ class PredictionService:
         counters: counter sink (defaults to the process-wide
             :data:`~repro.evaluation.timing.engine_counters`).
 
-    Passing the config fields as individual keyword arguments
-    (``PredictionService(model, max_batch=8)``) is deprecated: they are
-    folded into the config with a :class:`DeprecationWarning` and will be
-    removed one release after the registry API landed.
-
     The worker thread starts immediately; the service is usable as a
     context manager and closes cleanly on exit.
     """
@@ -173,9 +168,9 @@ class PredictionService:
         config: Optional[ServeConfig] = None,
         *,
         counters: Optional[EngineCounters] = None,
-        **legacy: Any,
     ):
-        config = coalesce_config(config, legacy, "PredictionService")
+        if config is None:
+            config = ServeConfig()
         self._config = config
         self._model = model
         self._max_batch = int(config.max_batch)

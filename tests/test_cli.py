@@ -11,7 +11,7 @@ from repro.datasets.io import save_relational_json
 
 @pytest.fixture
 def relational_files(tmp_path):
-    """Training and query JSON files for predict/serve-bench runs."""
+    """Training and query JSON files for predict/bench runs."""
     rng = np.random.default_rng(17)
     train = RelationalDataset.from_bool_matrix(
         rng.random((24, 30)) < 0.35,
@@ -225,7 +225,7 @@ class TestServeBenchCommand:
         clear_evaluator_cache()
         code = main(
             [
-                "serve-bench",
+                "bench",
                 "--artifact",
                 str(artifact),
                 "--threads",
@@ -247,7 +247,7 @@ class TestServeBenchCommand:
         train_path, _ = relational_files
         code = main(
             [
-                "serve-bench",
+                "bench",
                 "--train",
                 str(train_path),
                 "--threads",
@@ -398,7 +398,7 @@ class TestExitCodes:
         monkeypatch.setattr(serving, "PredictionService", AlwaysOverloaded)
         code = main(
             [
-                "serve-bench",
+                "bench",
                 "--artifact",
                 str(artifact),
                 "--threads",

@@ -190,8 +190,7 @@ class TestBatchedKernel:
         assert batch.shape == (len(queries), ds.n_classes)
         bsts = build_all_bsts(ds)
         for row, query in zip(batch, queries):
-            serial = evaluator.classification_values(query)
-            np.testing.assert_allclose(row, serial, atol=1e-5)
+            assert np.array_equal(row, evaluator.classification_values(query))
             for class_id in range(ds.n_classes):
                 expected = bstce(bsts[class_id], query, "min")
                 assert row[class_id] == pytest.approx(expected, abs=1e-5)
@@ -204,8 +203,8 @@ class TestBatchedKernel:
             evaluator = FastBSTCEvaluator(ds, arith)
             batch = evaluator.classification_values_batch(queries)
             for row, query in zip(batch, queries):
-                np.testing.assert_allclose(
-                    row, evaluator.classification_values(query), atol=1e-5
+                assert np.array_equal(
+                    row, evaluator.classification_values(query)
                 )
 
     def test_empty_batch(self, example):
@@ -221,7 +220,7 @@ class TestBatchedKernel:
         stacked = np.stack(
             [evaluator.classification_values(row) for row in qmat]
         )
-        np.testing.assert_allclose(batch, stacked, atol=1e-5)
+        assert np.array_equal(batch, stacked)
 
     def test_wrong_width_raises(self, example):
         evaluator = FastBSTCEvaluator(example)
@@ -231,16 +230,16 @@ class TestBatchedKernel:
             )
 
     def test_batch_crosses_block_boundary(self):
-        """A batch larger than the internal block size still agrees with the
-        per-query path (exercises the block loop)."""
+        """A batch larger than the internal block size still equals the
+        per-query path bit for bit (exercises the block loop)."""
         rng = np.random.default_rng(11)
         ds = random_relational(rng, n_samples_range=(8, 12))
         evaluator = FastBSTCEvaluator(ds)
         qmat = rng.random((150, ds.n_items)) < 0.4
         batch = evaluator.classification_values_batch(qmat)
         for i in (0, 63, 64, 101, 149):
-            np.testing.assert_allclose(
-                batch[i], evaluator.classification_values(qmat[i]), atol=1e-5
+            assert np.array_equal(
+                batch[i], evaluator.classification_values(qmat[i])
             )
 
     def test_classifier_batch_engines_agree(self, example):

@@ -1,6 +1,6 @@
-"""Compiled evaluation plans: bit-identity vs the legacy kernel, the
+"""Compiled evaluation plans: agreement with the Algorithm 5 oracle, the
 duplicate-row cull, dtype-downcast overflow guards, arena structure, and the
-v1 artifact fallback."""
+artifact format version."""
 
 import warnings
 
@@ -9,19 +9,18 @@ import pytest
 
 from conftest import random_relational
 from repro.bst.culling import duplicate_row_keep_mask
+from repro.bst.table import build_all_bsts
 from repro.core.arithmetization import COMBINERS
-from repro.core.artifact import load_artifact, save_artifact
+from repro.core.artifact import ArtifactError, load_artifact, save_artifact
 from repro.core.classifier import BSTClassifier
-from repro.core.fast import FastBSTCEvaluator, _class_tables_for, clear_evaluator_cache
+from repro.core.fast import FastBSTCEvaluator, clear_evaluator_cache
 from repro.core import plan as plan_module
-from repro.core.plan import (
-    ARENA_FIELDS,
-    FLOAT32_EXACT_MAX,
-    compile_plan_from_tables,
-    tables_hot_nbytes,
-)
+from repro.core.plan import ARENA_FIELDS, FLOAT32_EXACT_MAX
 from repro.datasets.dataset import RelationalDataset
 from repro.evaluation.timing import engine_counters
+
+#: The tier-1 tolerance between the vectorized kernel and the oracle.
+ORACLE_ATOL = 1e-5
 
 
 @pytest.fixture(autouse=True)
@@ -48,29 +47,49 @@ def _with_duplicates(rng, n_samples=10, n_items=16, n_classes=3):
             )
 
 
+def _oracle(dataset, queries, arithmetization="min"):
+    """Algorithm 5 as written (:mod:`repro.core.bstce`) for a boolean query
+    matrix."""
+    reference = BSTClassifier(arithmetization, engine="reference").fit(dataset)
+    return reference.classification_values_batch(
+        [frozenset(np.flatnonzero(q).tolist()) for q in queries]
+    )
+
+
+def _unculled(monkeypatch, dataset, arithmetization="min"):
+    """An evaluator whose plan keeps every outside row (the cull disabled)."""
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            plan_module,
+            "duplicate_row_keep_mask",
+            lambda rows: np.ones(rows.shape[0], dtype=bool),
+        )
+        evaluator = FastBSTCEvaluator(dataset, arithmetization)
+    assert evaluator.plan.culled_refs == 0
+    return evaluator
+
+
 class TestBitIdentity:
-    """The compiled plan must reproduce the legacy kernel bit for bit —
-    not approximately — across arithmetizations, batch sizes, sparsity
-    regimes, and culled duplicate rows."""
+    """The compiled plan must agree with the Algorithm 5 oracle at the
+    tier-1 tolerance across arithmetizations, batch sizes, sparsity regimes
+    and culled duplicate rows — and a single query must equal its batch row
+    bit for bit."""
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_random_datasets(self, arithmetization):
         rng = np.random.default_rng(42)
         for _ in range(8):
             dataset = random_relational(rng)
-            legacy = FastBSTCEvaluator(
-                dataset, arithmetization, compile_plan=False
-            )
             planned = FastBSTCEvaluator(dataset, arithmetization)
             queries = rng.random((17, dataset.n_items)) < rng.uniform(0.1, 0.7)
-            assert np.array_equal(
-                legacy.classification_values_batch(queries),
-                planned.classification_values_batch(queries),
+            batch = planned.classification_values_batch(queries)
+            np.testing.assert_allclose(
+                batch, _oracle(dataset, queries, arithmetization),
+                atol=ORACLE_ATOL,
             )
-            for query in queries[:3]:
+            for row, query in zip(batch[:3], queries[:3]):
                 assert np.array_equal(
-                    legacy.classification_values(query),
-                    planned.classification_values(query),
+                    planned.classification_values(query), row
                 )
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
@@ -78,19 +97,17 @@ class TestBitIdentity:
         rng = np.random.default_rng(7)
         for _ in range(5):
             dataset = _with_duplicates(rng)
-            legacy = FastBSTCEvaluator(
-                dataset, arithmetization, compile_plan=False
-            )
             planned = FastBSTCEvaluator(dataset, arithmetization)
             queries = rng.random((9, dataset.n_items)) < 0.5
-            assert np.array_equal(
-                legacy.classification_values_batch(queries),
+            np.testing.assert_allclose(
                 planned.classification_values_batch(queries),
+                _oracle(dataset, queries, arithmetization),
+                atol=ORACLE_ATOL,
             )
 
     def test_sparse_serving_queries(self):
         # Wide vocabulary + sparse queries drives the per-query restricted
-        # matmul path; the skipped zero terms must not change a bit.
+        # matmul path; a dense batch takes the stacked path.
         rng = np.random.default_rng(3)
         matrix = rng.random((24, 600)) < 0.15
         labels = rng.integers(0, 3, 24)
@@ -98,19 +115,15 @@ class TestBitIdentity:
         dataset = RelationalDataset.from_bool_matrix(
             matrix, labels.tolist(), class_names=["a", "b", "c"]
         )
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
         planned = FastBSTCEvaluator(dataset)
-        queries = rng.random((32, 600)) < 0.02  # ~12 genes per query
-        assert np.array_equal(
-            legacy.classification_values_batch(queries),
-            planned.classification_values_batch(queries),
-        )
-        # Dense batch takes the stacked path; also bit-identical.
+        sparse = rng.random((32, 600)) < 0.02  # ~12 genes per query
         dense = rng.random((8, 600)) < 0.6
-        assert np.array_equal(
-            legacy.classification_values_batch(dense),
-            planned.classification_values_batch(dense),
-        )
+        for queries in (sparse, dense):
+            np.testing.assert_allclose(
+                planned.classification_values_batch(queries),
+                _oracle(dataset, queries),
+                atol=ORACLE_ATOL,
+            )
 
 
 class TestCulling:
@@ -122,17 +135,20 @@ class TestCulling:
         assert keep.tolist() == [True, False, True, False, True]
         assert duplicate_row_keep_mask(np.zeros((0, 3), dtype=bool)).size == 0
 
-    def test_min_plan_culls_duplicates(self):
+    def test_min_plan_culls_duplicates(self, monkeypatch):
         rng = np.random.default_rng(11)
         dataset = _with_duplicates(rng)
         planned = FastBSTCEvaluator(dataset, "min")
         assert planned.plan.culled_refs > 0
-        # The culled stream must still produce bit-identical values.
-        legacy = FastBSTCEvaluator(dataset, "min", compile_plan=False)
+        # The culled stream must produce exactly the unculled values.
+        unculled = _unculled(monkeypatch, dataset)
         queries = rng.random((8, dataset.n_items)) < 0.5
+        values = planned.classification_values_batch(queries)
         assert np.array_equal(
-            legacy.classification_values_batch(queries),
-            planned.classification_values_batch(queries),
+            values, unculled.classification_values_batch(queries)
+        )
+        np.testing.assert_allclose(
+            values, _oracle(dataset, queries), atol=ORACLE_ATOL
         )
 
     @pytest.mark.parametrize("arithmetization", ["product", "mean"])
@@ -156,9 +172,9 @@ class TestCulling:
             == before + planned.plan.culled_refs
         )
 
-    def test_explain_identical_under_culling(self):
-        # The satellite check: a culled plan serves the same classification
-        # values, so the explanation machinery reports identical evidence.
+    def test_explain_identical_under_culling(self, monkeypatch):
+        # A culled plan serves the same classification values, so the
+        # explanation machinery reports identical evidence.
         rng = np.random.default_rng(19)
         dataset = _with_duplicates(rng)
         clf = BSTClassifier().fit(dataset)
@@ -166,15 +182,14 @@ class TestCulling:
         query = frozenset(
             int(i) for i in np.flatnonzero(rng.random(dataset.n_items) < 0.5)
         )
-        explained_plan = clf.explain(query)
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
+        explained_culled = clf.explain(query)
         original_fast = clf._fast
         try:
-            clf._fast = legacy
-            explained_legacy = clf.explain(query)
+            clf._fast = _unculled(monkeypatch, dataset)
+            explained_unculled = clf.explain(query)
         finally:
             clf._fast = original_fast
-        assert explained_plan == explained_legacy
+        assert explained_culled == explained_unculled
 
 
 class TestDowncastGuards:
@@ -200,72 +215,85 @@ class TestDowncastGuards:
     def test_wide_index_fallback(self, monkeypatch):
         # Force the guard: with the int32 ceiling lowered to zero, every
         # index lands in the wide dtype (counted), and the kernel output is
-        # still bit-identical — the fallback is a widening, never a wrap.
+        # bit-identical to the narrow plan's — the fallback is a widening,
+        # never a wrap.
         rng = np.random.default_rng(29)
         dataset = random_relational(rng)
-        monkeypatch.setattr(plan_module, "INT32_MAX", 0)
         before = engine_counters.get("plan_wide_index_fallbacks")
-        planned = FastBSTCEvaluator(dataset)
-        assert planned.plan.index_dtype == np.dtype(np.int64)
+        with monkeypatch.context() as patch:
+            patch.setattr(plan_module, "INT32_MAX", 0)
+            wide = FastBSTCEvaluator(dataset)
+        assert wide.plan.index_dtype == np.dtype(np.int64)
         assert engine_counters.get("plan_wide_index_fallbacks") == before + 1
-        monkeypatch.undo()
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
+        narrow = FastBSTCEvaluator(dataset)
+        assert narrow.plan.index_dtype == np.dtype(np.int32)
         queries = rng.random((9, dataset.n_items)) < 0.4
         assert np.array_equal(
-            legacy.classification_values_batch(queries),
-            planned.classification_values_batch(queries),
+            wide.classification_values_batch(queries),
+            narrow.classification_values_batch(queries),
         )
 
     def test_wide_weight_fallback_preserves_large_lengths(self):
         # Pair lengths past 2**24 would silently round in float32; the
-        # compiler must store them in float64 instead, exactly.
+        # arena builder must store them in float64 instead, exactly.
         rng = np.random.default_rng(31)
         dataset = random_relational(rng)
         matrix = dataset.bool_matrix
         labels = dataset.label_array
-        tables = []
         big = float(FLOAT32_EXACT_MAX) + 3.0  # not float32-representable
+        classes, expected = [], []
         for class_id in range(dataset.n_classes):
             member = labels == class_id
-            t = _class_tables_for(
-                class_id, matrix[member], matrix[~member], dataset.n_items
+            inside, outside = matrix[member], matrix[~member]
+            pair_len, pair_neg = plan_module._pair_weights(
+                inside.astype(np.float32), outside.astype(np.float32)
             )
-            t.len_pos = t.len_pos.astype(np.float64) + big
-            t.len_neg = t.len_neg.astype(np.float64) + big
-            tables.append(t)
+            pair_len = pair_len.astype(np.float64) + big
+            expected.append(pair_len)
+            classes.append(
+                plan_module._raw_for_class(
+                    class_id, inside, outside, pair_len, pair_neg,
+                    dataset.n_items, "min",
+                )
+            )
         before = engine_counters.get("plan_wide_float_fallbacks")
-        plan = compile_plan_from_tables(tables, dataset.n_items, "min")
+        plan = plan_module._build_arena(classes, dataset.n_items)
         assert plan.weight_dtype == np.dtype(np.float64)
         assert engine_counters.get("plan_wide_float_fallbacks") == before + 1
-        pc = plan.classes[0]
-        expected = np.where(
-            tables[0].negated, tables[0].len_neg, tables[0].len_pos
-        )
-        assert np.array_equal(np.asarray(pc.pair_len), expected)
+        for pc, lengths in zip(plan.classes, expected):
+            assert np.array_equal(np.asarray(pc.pair_len), lengths)
         # The same values forced through float32 would NOT round-trip —
         # i.e. the narrow dtype really would have been lossy here.
         assert not np.array_equal(
-            expected.astype(np.float32).astype(np.float64), expected
+            expected[0].astype(np.float32).astype(np.float64), expected[0]
         )
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
     def test_fused_pair_weights_match_legacy(self, arithmetization):
-        # pair_len/pair_neg must encode exactly the legacy selection:
-        # negated -> len_neg, positive -> len_pos, empty -> 0.
+        # pair_len/pair_neg must encode exactly the exclusion list BST
+        # construction (Algorithm 1) materializes for each (c, h) pair:
+        # its length, and whether it is the negated form.  An empty list
+        # (identical rows) has value 0 in either form, so only its length
+        # is pinned.
         rng = np.random.default_rng(37)
-        dataset = random_relational(rng)
-        legacy = FastBSTCEvaluator(
-            dataset, arithmetization, compile_plan=False
-        )
-        planned = FastBSTCEvaluator(dataset, arithmetization)
-        for t, pc in zip(legacy._tables, planned.plan.classes):
-            if t is None:
-                assert pc is None
-                continue
-            expected = np.where(t.negated, t.len_neg, t.len_pos)
-            expected[t.empty] = 0.0
-            assert np.array_equal(np.asarray(pc.pair_len), expected)
-            assert np.array_equal(np.asarray(pc.pair_neg), t.negated)
+        for _ in range(6):
+            dataset = random_relational(rng)
+            planned = FastBSTCEvaluator(dataset, arithmetization)
+            labels = dataset.label_array
+            checked = 0
+            for bst, pc in zip(build_all_bsts(dataset), planned.plan.classes):
+                inside_ids = np.flatnonzero(labels == bst.class_id)
+                outside_ids = np.flatnonzero(labels != bst.class_id)
+                for i, c in enumerate(inside_ids):
+                    for j, h in enumerate(outside_ids):
+                        elist = bst.pair_exclusion_list(int(c), int(h))
+                        if elist is None:
+                            continue  # never materialized: no shared gene
+                        assert pc.pair_len[i, j] == len(elist.items)
+                        if elist.items:
+                            assert bool(pc.pair_neg[i, j]) == elist.negated
+                        checked += 1
+            assert checked > 0
 
 
 class TestArenaStructure:
@@ -293,49 +321,9 @@ class TestArenaStructure:
         assert plan.classes[1] is None
         assert tuple(plan.geometry[1]) == (0, 0, 0, 0)
 
-    def test_plan_is_smaller_than_tables(self):
-        # The bytes-per-query reduction the bench gates: fused pair weights
-        # + downcast indices + the dropped inside_sizes field must shrink
-        # the kernel-hot footprint.
-        rng = np.random.default_rng(43)
-        matrix = rng.random((40, 300)) < 0.3
-        labels = rng.integers(0, 3, 40)
-        labels[:3] = (0, 1, 2)
-        dataset = RelationalDataset.from_bool_matrix(
-            matrix, labels.tolist(), class_names=["a", "b", "c"]
-        )
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
-        planned = FastBSTCEvaluator(dataset)
-        assert planned.plan.hot_nbytes() < tables_hot_nbytes(legacy._tables)
-
-    def test_legacy_evaluator_compiles_plan_on_demand(self):
-        rng = np.random.default_rng(47)
-        dataset = random_relational(rng)
-        legacy = FastBSTCEvaluator(dataset, compile_plan=False)
-        assert legacy.plan is None
-        compiled = legacy._ensure_plan()
-        assert legacy.plan is compiled
-        # Dispatch still prefers the legacy tables (the bench baseline must
-        # not silently switch kernels after a save).
-        assert legacy._per_class() is legacy._tables
-
 
 class TestArtifactV1Fallback:
-    def test_v1_round_trip_warns_and_recompiles(self, tmp_path):
-        rng = np.random.default_rng(53)
-        dataset = _with_duplicates(rng)
-        evaluator = FastBSTCEvaluator(dataset)
-        path = save_artifact(evaluator, tmp_path / "m1.npz", format_version=1)
-        before = engine_counters.get("artifact_v1_recompiles")
-        with pytest.warns(DeprecationWarning, match="format v1"):
-            loaded = load_artifact(path)
-        assert engine_counters.get("artifact_v1_recompiles") == before + 1
-        assert loaded.plan is not None
-        queries = rng.random((8, dataset.n_items)) < 0.4
-        assert np.array_equal(
-            evaluator.classification_values_batch(queries),
-            loaded.classification_values_batch(queries),
-        )
+    """Format v1 (per-class tables) no longer loads; v2 is the one format."""
 
     def test_v2_round_trip_does_not_warn(self, tmp_path):
         rng = np.random.default_rng(59)
@@ -347,30 +335,47 @@ class TestArtifactV1Fallback:
             loaded = load_artifact(path)
         assert loaded.plan.culled_refs == evaluator.plan.culled_refs
 
-    def test_v1_from_plan_only_evaluator(self, tmp_path):
-        # A plan-only (artifact-loaded) evaluator can still export v1: the
-        # legacy tables are rebuilt from the arena's row blocks.
-        rng = np.random.default_rng(61)
+    @staticmethod
+    def _with_version(path, version, tmp_path):
+        """A copy of the artifact at ``path`` claiming ``version``."""
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays["meta_format_version"] = np.array(version, dtype=np.int64)
+        out = tmp_path / f"v{version}.npz"
+        with out.open("wb") as handle:
+            np.savez(handle, **arrays)
+        return out
+
+    def test_v1_artifact_rejected_with_resave_hint(self, tmp_path):
+        # A v1 file in its own layout (metadata, meta_has_table and per-class
+        # ``class{c}_{field}`` members, no arena) is refused with a typed
+        # error that tells the caller how to recover.
+        rng = np.random.default_rng(53)
         dataset = random_relational(rng)
-        first = save_artifact(
-            FastBSTCEvaluator(dataset), tmp_path / "a.npz"
-        )
-        loaded = load_artifact(first)
-        assert loaded._tables is None
-        second = save_artifact(loaded, tmp_path / "b.npz", format_version=1)
-        with pytest.warns(DeprecationWarning):
-            reloaded = load_artifact(second)
-        queries = rng.random((6, dataset.n_items)) < 0.4
-        assert np.array_equal(
-            loaded.classification_values_batch(queries),
-            reloaded.classification_values_batch(queries),
-        )
+        path = save_artifact(FastBSTCEvaluator(dataset), tmp_path / "m.npz")
+        with np.load(path) as npz:
+            arrays = {
+                k: npz[k] for k in npz.files
+                if k.startswith("meta_") and not k.startswith("meta_plan_")
+            }
+        arrays["meta_format_version"] = np.array(1, dtype=np.int64)
+        arrays["meta_has_table"] = np.ones(dataset.n_classes, dtype=bool)
+        labels = dataset.label_array
+        for class_id in range(dataset.n_classes):
+            member = labels == class_id
+            arrays[f"class{class_id}_inside"] = dataset.bool_matrix[member]
+            arrays[f"class{class_id}_outside"] = dataset.bool_matrix[~member]
+        v1 = tmp_path / "v1.npz"
+        with v1.open("wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(ArtifactError, match="refit .* re-save"):
+            load_artifact(v1)
+        assert v1.exists()  # a format error is not corruption
 
     def test_unknown_format_version_rejected(self, tmp_path):
         rng = np.random.default_rng(67)
         dataset = random_relational(rng)
-        with pytest.raises(ValueError, match="format_version"):
-            save_artifact(
-                FastBSTCEvaluator(dataset), tmp_path / "x.npz",
-                format_version=3,
-            )
+        path = save_artifact(FastBSTCEvaluator(dataset), tmp_path / "x.npz")
+        future = self._with_version(path, 3, tmp_path)
+        with pytest.raises(ArtifactError, match="format version 3"):
+            load_artifact(future)

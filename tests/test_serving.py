@@ -852,8 +852,8 @@ class TestEvaluatorCacheConcurrency:
 
 
 class TestServeConfigSurface:
-    """The redesigned config surface: one validated ServeConfig, legacy
-    kwargs folded in with a deprecation warning."""
+    """The config surface: one validated ServeConfig; config fields are
+    not keyword arguments of the service."""
 
     def test_config_object_is_the_canonical_path(self, evaluator):
         config = ServeConfig(max_batch=4, max_wait_ms=0.5)
@@ -866,32 +866,6 @@ class TestServeConfigSurface:
         assert label == int(
             np.argmax(evaluator.classification_values({0, 3, 4}))
         )
-
-    def test_legacy_kwargs_warn_and_fold(self, evaluator):
-        with pytest.warns(DeprecationWarning, match="ServeConfig"):
-            service = PredictionService(
-                evaluator, max_batch=4, counters=EngineCounters()
-            )
-        try:
-            assert service.config.max_batch == 4
-            # Untouched fields keep their defaults.
-            assert service.config.max_pending == ServeConfig().max_pending
-        finally:
-            service.close()
-
-    def test_legacy_kwargs_override_config(self, evaluator):
-        with pytest.warns(DeprecationWarning):
-            service = PredictionService(
-                evaluator,
-                ServeConfig(max_batch=4, max_wait_ms=7.0),
-                max_batch=9,
-                counters=EngineCounters(),
-            )
-        try:
-            assert service.config.max_batch == 9
-            assert service.config.max_wait_ms == 7.0
-        finally:
-            service.close()
 
     def test_unknown_kwarg_is_a_type_error(self, evaluator):
         with pytest.raises(TypeError, match="max_bach"):

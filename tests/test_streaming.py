@@ -225,13 +225,13 @@ class TestAppendOnlyBuild:
     def test_plan_arena_byte_identical(self, split, arith):
         _, base, grown = split
         clear_evaluator_cache()
-        base_plan = FastBSTCEvaluator(base, arithmetization=arith)._ensure_plan()
+        base_plan = FastBSTCEvaluator(base, arithmetization=arith).plan
         delta = recompile_delta(base_plan, grown, base.n_samples, arith)
         clear_evaluator_cache()
         fresh = RelationalDataset(
             grown.item_names, grown.class_names, grown.samples, grown.labels
         )
-        cold = get_evaluator(fresh, arith)._ensure_plan()
+        cold = get_evaluator(fresh, arith).plan
         clear_evaluator_cache()
         assert np.array_equal(cold.geometry, delta.geometry)
         for name in ARENA_FIELDS:
@@ -269,7 +269,7 @@ class TestAppendOnlyBuild:
         silently inheriting the base weights."""
         _, base, grown = split
         clear_evaluator_cache()
-        base_plan = FastBSTCEvaluator(base)._ensure_plan()
+        base_plan = FastBSTCEvaluator(base).plan
         clear_evaluator_cache()
         samples = list(grown.samples)
         samples[0] = frozenset(set(samples[0]) ^ {0})
