@@ -699,7 +699,7 @@ def test_registry_aggregate_throughput():
 
     with PredictionService(
         _Dispatcher(),
-        ServeConfig(max_batch=1, max_wait_ms=0.0, validate_queries=False,
+        ServeConfig(max_batch=1, max_wait_ms=0.0,
                     default_deadline_ms=60_000.0),
     ) as shared:
 

@@ -162,6 +162,19 @@ def main() -> int:
                 _expect(key in error, f"error envelope missing {key!r}")
             _expect(error["type"] == "QueryError", f"type {error['type']}")
 
+            # The strict query contract: nothing is coerced.
+            fraction = [0.0] * example.n_items
+            fraction[0] = 0.2
+            for body in ({"items": [1.5]}, {"vector": fraction}):
+                status, payload = _request(
+                    f"{base}/v1/models/smoke:predict", body
+                )
+                _expect(status == 400, f"{body} -> {status}: {payload}")
+                _expect(
+                    payload["error"]["type"] == "QueryError",
+                    f"{body} -> {payload['error']['type']}",
+                )
+
             status, payload = _request(
                 f"{base}/v1/models/ghost:predict", {"items": [0]}
             )

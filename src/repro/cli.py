@@ -791,13 +791,6 @@ def _run_predict(args: argparse.Namespace) -> int:
     if args.save_artifact:
         print(f"artifact written: {clf.save(args.save_artifact)}")
     data = load_relational_json(args.data)
-    if data.n_items != clf.dataset.n_items:
-        print(
-            f"error: query data has {data.n_items} items but the model was"
-            f" trained on {clf.dataset.n_items}",
-            file=sys.stderr,
-        )
-        return 2
     predictions = clf.predict_batch(data.bool_matrix)
     class_names = clf.dataset.class_names
     for i, label in enumerate(predictions):
@@ -829,13 +822,6 @@ def _run_explain(args: argparse.Namespace) -> int:
 
     clf = _load_model(args)
     data = load_relational_json(args.data)
-    if data.n_items != clf.dataset.n_items:
-        print(
-            f"error: query data has {data.n_items} items but the model was"
-            f" trained on {clf.dataset.n_items}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
     class_names = clf.dataset.class_names
     item_names = clf.dataset.item_names
     for i, row in enumerate(data.bool_matrix):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from typing import (
-    AbstractSet,
     List,
     Optional,
     Sequence,
@@ -40,7 +39,8 @@ from ..datasets.dataset import RelationalDataset
 from .arithmetization import classification_confidence, get_combiner
 from .bstce import bstce
 from .estimator import NotFittedError, explain_not_supported, resolve_engine
-from .fast import FastBSTCEvaluator, Query, get_evaluator, register_evaluator
+from .fast import FastBSTCEvaluator, get_evaluator, register_evaluator
+from .query import Query, as_item_set
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .explain import Explanation
@@ -272,7 +272,7 @@ class BSTClassifier:
         if self._fast is not None:
             return self._fast.classification_values(query)
         assert self._bsts is not None
-        qset = self._as_set(query)
+        qset = as_item_set(query, self._dataset.n_items)
         return np.array(
             [bstce(bst, qset, self.arithmetization) for bst in self._bsts],
             dtype=np.float64,
@@ -289,9 +289,7 @@ class BSTClassifier:
         if self._fast is not None:
             return self._fast.classification_values_batch(queries)
         rows = [self.classification_values(q) for q in queries]
-        if not rows:
-            return np.zeros((0, self._dataset.n_classes), dtype=np.float64)
-        return np.stack(rows)
+        return np.array(rows).reshape(len(rows), self._dataset.n_classes)
 
     def predict(self, query: Query) -> int:
         """Classify one query sample (Algorithm 6 line 6: first argmax)."""
@@ -348,14 +346,8 @@ class BSTClassifier:
 
         return explain_classification(
             self,
-            self._as_set(query),
+            as_item_set(query, self._dataset.n_items),
             min_satisfaction=min_satisfaction,
             class_id=class_id,
             limit=limit,
         )
-
-    # ------------------------------------------------------------------
-    def _as_set(self, query: Query) -> AbstractSet[int]:
-        if isinstance(query, np.ndarray):
-            return frozenset(int(i) for i in np.flatnonzero(query))
-        return frozenset(int(i) for i in query)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, List, Optional, Tuple
 
 from ..bst.table import BST
+from ..errors import QueryError
 from ..rules.boolexpr import Expr, pretty
 from .bstce import bstce_detail
 from .classifier import BSTClassifier
@@ -90,6 +91,10 @@ def explain_classification(
     query = frozenset(query)
     values = classifier.classification_values(query)
     predicted = int(values.argmax())
+    if class_id is not None and not 0 <= class_id < len(values):
+        raise QueryError(f"class_id {class_id} is outside [0, {len(values)})")
+    if limit is not None and limit < 0:
+        raise QueryError(f"limit {limit} is negative")
     target = predicted if class_id is None else class_id
     bst = classifier.bsts[target]
     _, _, cell_values = bstce_detail(bst, query, classifier.arithmetization)

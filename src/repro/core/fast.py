@@ -18,7 +18,7 @@ downcast dtypes, duplicate-outside-row culling), and
 ``_BATCH_BLOCK`` queries with one stacked matmul per class — or, for sparse
 serving batches, one small matmul per query over only its expressed genes —
 plus a segment reduction over the non-blank cells.  A single query is a
-batch of one.
+batch of one; the one strict parser, :mod:`repro.core.query`, reads it.
 
 Every intermediate count is small-integer float32 arithmetic (exact below
 2**24) and each query's cells accumulate in a fixed order, so a query's
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import AbstractSet, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +43,7 @@ from ..datasets.dataset import RelationalDataset
 from ..evaluation.timing import engine_counters
 from .arithmetization import get_combiner
 from .plan import EvaluationPlan, PlanClass, compile_plan, recompile_delta
-
-Query = Union[AbstractSet[int], np.ndarray]
+from .query import Query, as_query_matrix
 
 #: Queries evaluated together inside one batched block.
 _BATCH_BLOCK = 64
@@ -133,36 +132,6 @@ class FastBSTCEvaluator:
         )
 
     # ------------------------------------------------------------------
-    def _as_vector(self, query: Query) -> np.ndarray:
-        if isinstance(query, np.ndarray):
-            if query.shape != (self.dataset.n_items,):
-                raise ValueError(
-                    f"query vector has shape {query.shape}, expected"
-                    f" ({self.dataset.n_items},)"
-                )
-            return query.astype(bool)
-        vec = np.zeros(self.dataset.n_items, dtype=bool)
-        items = [i for i in query if 0 <= i < self.dataset.n_items]
-        if items:
-            vec[items] = True
-        return vec
-
-    def _as_matrix(self, queries: Union[Sequence[Query], np.ndarray]) -> np.ndarray:
-        """Stack a query batch into a dense ``(n_queries, n_items)`` bool
-        matrix (accepts an already-stacked 2-D array or any sequence of
-        item sets / indicator vectors)."""
-        if isinstance(queries, np.ndarray) and queries.ndim == 2:
-            if queries.shape[1] != self.dataset.n_items:
-                raise ValueError(
-                    f"query matrix has {queries.shape[1]} columns, expected"
-                    f" {self.dataset.n_items}"
-                )
-            return queries.astype(bool)
-        rows = [self._as_vector(q) for q in queries]
-        if not rows:
-            return np.zeros((0, self.dataset.n_items), dtype=bool)
-        return np.stack(rows)
-
     @staticmethod
     def _sparse_columns(qmat: np.ndarray) -> Optional[np.ndarray]:
         """Expressed item columns of a query batch, when restricting the
@@ -389,7 +358,7 @@ class FastBSTCEvaluator:
         """
         if self._integrity_guard is not None:
             self._integrity_guard()
-        qmat = self._as_matrix(queries)
+        qmat = as_query_matrix(queries, self.dataset.n_items)
         n_q = qmat.shape[0]
         out = np.zeros((n_q, self.dataset.n_classes), dtype=np.float64)
         if n_q == 0:

@@ -167,11 +167,11 @@ class CircuitOpen(ServiceError):
 
 
 class QueryError(ReproError, ValueError):
-    """A query was rejected at submission time (wrong gene count, NaN/inf
-    values, non-numeric dtype, out-of-range item index).
+    """A query (or a request field) could not be interpreted.
 
-    Raised by the service *before* the query reaches the worker, so a
-    malformed request can never poison the batch it would have joined.
+    Raised by the one query parser, :mod:`repro.core.query`, wherever a
+    query enters (in the service *before* it reaches the worker, so it
+    cannot poison a batch), and by the gateway for ill-typed body fields.
     """
 
 

@@ -53,9 +53,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from ..core.artifact import ArtifactError
+from ..core.query import as_query
 from ..errors import (
     CircuitOpen,
     DeadlineExceeded,
@@ -177,7 +176,6 @@ class InProcessTarget:
         self._registry = registry
         self._clean_artifact = clean_artifact
         self._corrupt_artifact = corrupt_artifact
-        self._n_items: Dict[str, int] = {}
 
     @property
     def registry(self) -> ModelRegistry:
@@ -186,33 +184,17 @@ class InProcessTarget:
     def counters_snapshot(self) -> Optional[Dict[str, float]]:
         return self._registry.counters_snapshot()
 
-    def _query(self, event: Dict[str, Any]) -> np.ndarray:
-        model = event["model"]
-        n_items = self._n_items.get(model)
-        if n_items is None:
-            n_items = self._registry.model_info(model).n_items
-            self._n_items[model] = n_items
-        vector = np.zeros(n_items, dtype=bool)
-        items = [int(i) for i in event["items"]]
-        vector[[i for i in items if 0 <= i < n_items]] = True
-        if any(i < 0 or i >= n_items for i in items):
-            # Preserve the malformed indices so validation rejects the
-            # query the same way the HTTP path would.
-            return np.asarray(items)
-        return vector
-
     def request(self, event: Dict[str, Any]) -> Tuple[str, str]:
         """Run one request event; returns ``(category, detail)``."""
         try:
-            query = self._query(event)
             if event["verb"] == "explain":
                 self._registry.explain(
-                    event["model"], query, tenant=event.get("tenant")
+                    event["model"], event["items"], tenant=event.get("tenant")
                 )
             else:
                 self._registry.classification_values(
                     event["model"],
-                    query,
+                    event["items"],
                     tenant=event.get("tenant"),
                     deadline_ms=event.get("deadline_ms"),
                 )
@@ -620,6 +602,7 @@ def prepare_inprocess_target(
             corrupt_artifact_member(corrupt_path, "arena_inside_f.npy")
 
     needs_flaky = bool(chaos.error_windows or chaos.poison_fraction)
+    n_items = classifier.dataset.n_items
     model_names = sorted(
         {e["model"] for e in trace.requests}
         | {e["model"] for e in trace.controls}
@@ -635,7 +618,7 @@ def prepare_inprocess_target(
             model = FlakyBatchModel(
                 classifier,
                 faults=faults,
-                poison=lambda row: bool(np.asarray(row).all()),
+                poison=lambda row: bool(as_query(row, n_items).all()),
             )
             registry.deploy_model(name, model)
         else:

@@ -40,9 +40,6 @@ class ServeConfig:
             half-opening to probe recovery.
         restart_backoff: base of the crashed worker's deterministic
             exponential restart backoff (capped at 1s).
-        validate_queries: reject malformed queries at submission time with
-            :class:`~repro.errors.QueryError` instead of letting them reach
-            the worker.
         adaptive_batch: let the worker tune its *effective* batch ceiling
             between 1 and ``max_batch`` from observed batch compute latency:
             batches costing more than the ``max_wait_ms`` straggler budget
@@ -71,7 +68,6 @@ class ServeConfig:
     breaker_threshold: Optional[int] = 5
     breaker_cooldown: float = 1.0
     restart_backoff: float = 0.05
-    validate_queries: bool = True
     adaptive_batch: bool = False
     workers: int = 0
     admin_token: Optional[str] = None

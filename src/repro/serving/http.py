@@ -24,10 +24,14 @@ and, when an admin token is configured, the admin control plane::
 
 Request bodies may carry ``tenant`` (quota accounting) and ``deadline_ms``
 (per-request staleness bound); ``:explain`` adds ``min_satisfaction``,
-``class_id`` and ``limit``.  Failures map onto the shared error surface of
-:mod:`repro.serving.surface`: the body is :func:`~repro.serving.surface.
-error_body`, the status :func:`~repro.serving.surface.http_status`, and a
-``Retry-After`` header rides along when the breaker knows its cooldown.
+``class_id`` and ``limit``.  Nothing is coerced: the query goes as sent to
+the one strict parser (:mod:`repro.core.query`; raw intensities are not
+accepted), ``tenant`` must be a string and the other fields finite JSON
+numbers (``class_id``/``limit`` integers).  Failures map onto the shared
+error surface of :mod:`repro.serving.surface`: the body is
+:func:`~repro.serving.surface.error_body`, the status
+:func:`~repro.serving.surface.http_status`, and a ``Retry-After`` header
+rides along when the breaker knows its cooldown.
 
 The admin plane is opt-in and token-gated: without ``admin_token`` every
 ``/admin/v1/...`` request gets 403 (:class:`~repro.errors.AdminDisabled`);
@@ -51,6 +55,7 @@ from __future__ import annotations
 import hmac
 import json
 import socket
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -90,42 +95,64 @@ def _model_info_json(info: ModelInfo) -> Dict[str, Any]:
     }
 
 
+def _class_name(info: ModelInfo, label: int) -> str:
+    return info.class_names[label] if label < len(info.class_names) else str(label)
+
+
 def _parse_query(body: Dict[str, Any]) -> Any:
-    """The query payload: ``vector`` (dense) xor ``items`` (sparse ids)."""
-    has_vector = "vector" in body
-    has_items = "items" in body
-    if has_vector == has_items:
+    """The query payload as sent: ``vector`` (a dense indicator, as an
+    array of its JSON types) xor ``items`` (item ids, the raw list)."""
+    if ("vector" in body) == ("items" in body):
         raise QueryError(
             "request body must carry exactly one of 'vector' (dense"
             " indicator list) or 'items' (expressed item ids)"
         )
-    if has_vector:
-        vector = body["vector"]
-        if not isinstance(vector, list):
-            raise QueryError("'vector' must be a JSON array of numbers")
-        try:
-            return np.asarray(vector, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise QueryError(f"'vector' is not numeric: {exc}") from exc
-    items = body["items"]
-    if not isinstance(items, list):
-        raise QueryError("'items' must be a JSON array of item ids")
+    key = "vector" if "vector" in body else "items"
+    value = body[key]
+    if not isinstance(value, list):
+        raise QueryError(f"{key!r} must be a JSON array")
+    if key == "items":
+        return value
     try:
-        return frozenset(int(i) for i in items)
-    except (TypeError, ValueError) as exc:
-        raise QueryError(f"'items' entries must be integers: {exc}") from exc
+        return np.array(value)
+    except ValueError as exc:  # ragged nesting
+        raise QueryError(f"'vector' must be a flat JSON array: {exc}") from exc
 
 
-def _optional_number(
-    body: Dict[str, Any], key: str, kind: type = float
-) -> Optional[Any]:
+def _is_number(value: Any) -> bool:
+    """A finite JSON number, never a bool (NaN fails the comparison)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_path(value: Any) -> bool:
+    return isinstance(value, str) and bool(value)
+
+
+#: Scalar body fields: each one's check and what it must be.
+_FIELDS = {
+    "tenant": (lambda v: isinstance(v, str), "a string"),
+    "expected_fingerprint": (lambda v: isinstance(v, str), "a string"),
+    "artifact": (_is_path, "a server-side .npz artifact path"),
+    "train": (_is_path, "a server-side relational JSON path"),
+    "out": (_is_path, "a server-side path"),
+    "deadline_ms": (_is_number, "a finite JSON number"),
+    "min_satisfaction": (_is_number, "a finite JSON number"),
+    "class_id": (lambda v: _is_number(v) and isinstance(v, int), "a JSON integer"),
+    "limit": (lambda v: _is_number(v) and isinstance(v, int), "a JSON integer"),
+}
+
+
+def _field(body: Dict[str, Any], key: str, required: bool = False) -> Any:
+    """A scalar body field, strictly typed and never coerced."""
     value = body.get(key)
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise QueryError(f"{key!r} must be a number: {exc}") from exc
+    check, expected = _FIELDS[key]
+    if (required or value is not None) and not check(value):
+        raise QueryError(f"{key!r} must be {expected}, got {value!r}")
+    return value
 
 
 class _GatewayHandler(BaseHTTPRequestHandler):
@@ -295,8 +322,8 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
             query = _parse_query(body)
-            tenant = body.get("tenant")
-            deadline_ms = _optional_number(body, "deadline_ms")
+            tenant = _field(body, "tenant")
+            deadline_ms = _field(body, "deadline_ms")
             values = self.registry.classification_values(
                 name, query, tenant=tenant, deadline_ms=deadline_ms
             )
@@ -310,11 +337,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 "model": info.name,
                 "version": info.version,
                 "prediction": label,
-                "class_name": (
-                    info.class_names[label]
-                    if label < len(info.class_names)
-                    else str(label)
-                ),
+                "class_name": _class_name(info, label),
                 "values": [float(v) for v in values],
             },
         )
@@ -323,17 +346,12 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             body = self._read_body()
             query = _parse_query(body)
-            tenant = body.get("tenant")
-            kwargs: Dict[str, Any] = {}
-            min_satisfaction = _optional_number(body, "min_satisfaction")
-            if min_satisfaction is not None:
-                kwargs["min_satisfaction"] = min_satisfaction
-            class_id = _optional_number(body, "class_id", int)
-            if class_id is not None:
-                kwargs["class_id"] = class_id
-            limit = _optional_number(body, "limit", int)
-            if limit is not None:
-                kwargs["limit"] = limit
+            tenant = _field(body, "tenant")
+            kwargs = {
+                key: body[key]
+                for key in ("min_satisfaction", "class_id", "limit")
+                if _field(body, key) is not None
+            }
             explanation = self.registry.explain(
                 name, query, tenant=tenant, **kwargs
             )
@@ -348,11 +366,7 @@ class _GatewayHandler(BaseHTTPRequestHandler):
                 "model": info.name,
                 "version": info.version,
                 "prediction": explanation.predicted,
-                "class_name": (
-                    info.class_names[explanation.predicted]
-                    if explanation.predicted < len(info.class_names)
-                    else str(explanation.predicted)
-                ),
+                "class_name": _class_name(info, explanation.predicted),
                 "class_values": list(explanation.class_values),
                 "evidence": [
                     {
@@ -410,16 +424,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             self._check_admin()
             body = self._read_body()
-            artifact = body.get("artifact")
-            if not isinstance(artifact, str) or not artifact:
-                raise QueryError(
-                    "'artifact' must be a server-side .npz artifact path"
-                )
-            expected = body.get("expected_fingerprint")
-            if expected is not None and not isinstance(expected, str):
-                raise QueryError("'expected_fingerprint' must be a string")
             info = self.registry.deploy(
-                name, artifact, expected_fingerprint=expected
+                name,
+                _field(body, "artifact", required=True),
+                expected_fingerprint=_field(body, "expected_fingerprint"),
             )
             self._write_state()
         except ReproError as exc:
@@ -432,16 +440,10 @@ class _GatewayHandler(BaseHTTPRequestHandler):
         try:
             self._check_admin()
             body = self._read_body()
-            train = body.get("train")
-            if not isinstance(train, str) or not train:
-                raise QueryError(
-                    "'train' must be a server-side relational JSON path"
-                )
-            out = body.get("out")
-            if out is not None and not isinstance(out, str):
-                raise QueryError("'out' must be a string path")
-            dataset = load_relational_json(train)
-            info = self.registry.refresh(name, dataset, out_path=out)
+            dataset = load_relational_json(_field(body, "train", required=True))
+            info = self.registry.refresh(
+                name, dataset, out_path=_field(body, "out")
+            )
             self._write_state()
         except ReproError as exc:
             return self._send_error_json(exc)

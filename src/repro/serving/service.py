@@ -13,6 +13,10 @@ latency to a lone request.
 
 Design points:
 
+* **One query contract** — :func:`repro.core.query.as_query` checks every
+  submission against the model's vocabulary: a malformed query fails its
+  caller with :class:`QueryError` (``service_query_rejects``) and never
+  reaches the worker.  There is no switch to turn this off.
 * **Bounded queue with backpressure** — at most ``max_pending`` requests
   wait in the queue; further submitters block until the worker drains
   (memory stays bounded no matter how fast callers arrive).  Optional
@@ -74,6 +78,7 @@ from ..errors import (
     ServiceOverloaded,
     WorkerCrashed,
 )
+from ..core.query import as_query
 from ..evaluation.timing import EngineCounters, engine_counters
 from .config import ServeConfig
 
@@ -150,8 +155,8 @@ class PredictionService:
 
     Args:
         model: object with ``classification_values_batch`` (and
-            ``dataset.n_classes`` for shape fallbacks) — an evaluator or a
-            fitted classifier.
+            ``dataset.n_items``, the vocabulary queries are checked
+            against) — an evaluator or a fitted classifier.
         config: the validated :class:`ServeConfig` knob bundle (batching,
             deadlines, shedding, breaker, supervision).  Defaults to
             ``ServeConfig()``.
@@ -186,7 +191,6 @@ class PredictionService:
         self._breaker_threshold = config.breaker_threshold
         self._breaker_cooldown = float(config.breaker_cooldown)
         self._restart_backoff = float(config.restart_backoff)
-        self._validate = bool(config.validate_queries)
         self._adaptive = bool(config.adaptive_batch)
         #: Current batch ceiling (<= max_batch); mutated under _state_lock
         #: by the AIMD controller when adaptive_batch is on.
@@ -344,8 +348,14 @@ class PredictionService:
     # Submission path
     # ------------------------------------------------------------------
     def _submit(self, query: Any, deadline_ms: Optional[float]) -> _Request:
-        if self._validate:
-            self._validate_query(query)
+        # The caller's own object is queued (the kernel re-reads it with
+        # the same parser), so a batch row maps to its request by identity.
+        dataset = getattr(self._model, "dataset", None)
+        try:
+            as_query(query, getattr(dataset, "n_items", None))
+        except QueryError:
+            self._counters.increment("service_query_rejects")
+            raise
         now = time.monotonic()
         if deadline_ms is None:
             deadline = (
@@ -355,7 +365,7 @@ class PredictionService:
             )
         else:
             if deadline_ms < 0:
-                raise ValueError("deadline_ms must be >= 0")
+                raise QueryError(f"deadline_ms must be >= 0, got {deadline_ms}")
             deadline = now + float(deadline_ms) / 1000.0
         request = _Request(query=query, enqueued_at=now, deadline=deadline)
         if deadline is not None and deadline <= now:
@@ -405,53 +415,6 @@ class PredictionService:
                     raise CircuitOpen(0.0)
                 # This request is the probe; its batch outcome decides.
                 self._half_open_probe = True
-
-    def _validate_query(self, query: Any) -> None:
-        n_items = getattr(getattr(self._model, "dataset", None), "n_items", None)
-        if isinstance(query, np.ndarray):
-            if query.ndim != 1:
-                self._counters.increment("service_query_rejects")
-                raise QueryError(
-                    f"query must be a 1-D gene vector, got shape"
-                    f" {tuple(query.shape)}"
-                )
-            if n_items is not None and query.shape[0] != n_items:
-                self._counters.increment("service_query_rejects")
-                raise QueryError(
-                    f"query has {query.shape[0]} genes, model expects"
-                    f" {n_items}"
-                )
-            if query.dtype.kind not in "biuf":
-                self._counters.increment("service_query_rejects")
-                raise QueryError(
-                    f"query dtype {query.dtype} is not boolean/numeric"
-                )
-            if query.dtype.kind == "f":
-                bad = ~np.isfinite(query)
-                if bad.any():
-                    index = int(np.flatnonzero(bad)[0])
-                    self._counters.increment("service_query_rejects")
-                    raise QueryError(
-                        f"query gene {index} is {query[index]!r}"
-                        " (values must be finite)"
-                    )
-            return
-        try:
-            items = [int(i) for i in query]
-        except (TypeError, ValueError) as exc:
-            self._counters.increment("service_query_rejects")
-            raise QueryError(
-                f"query must be an indicator vector or an item-index set:"
-                f" {exc}"
-            ) from exc
-        if n_items is not None:
-            for index in items:
-                if not 0 <= index < n_items:
-                    self._counters.increment("service_query_rejects")
-                    raise QueryError(
-                        f"query item index {index} is outside the model's"
-                        f" [0, {n_items}) gene range"
-                    )
 
     # ------------------------------------------------------------------
     # Worker

@@ -201,8 +201,8 @@ class FlakyBatchModel:
     * faults are keyed on a thread-safely incremented call counter, so a
       schedule like ``[ServiceFault(0, "kill")]`` means "the first batch
       kills the worker, every later batch is clean";
-    * ``poison`` is a predicate over a single query row (1-D
-      ``np.ndarray``); any batch containing a matching row raises
+    * ``poison`` is a predicate over a single query as submitted (an
+      indicator vector or an item-id set); any batch containing a match raises
       :class:`PoisonQueryError` *before* evaluation, so bisection is the
       only way through — the poison query alone keeps failing while its
       batchmates re-run clean.

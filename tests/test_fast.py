@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 from repro.bst.table import build_all_bsts
 from repro.core.arithmetization import COMBINERS
 from repro.core.bstce import bstce
+from repro.core.classifier import BSTClassifier
 from repro.core.fast import _BATCH_BLOCK, FastBSTCEvaluator
-from repro.datasets.dataset import RelationalDataset
+from repro.datasets.dataset import RelationalDataset, running_example
+from repro.errors import QueryError
+from repro.evaluation.timing import EngineCounters
+from repro.serving import ModelRegistry, PredictionService, ServeConfig
 
 
 @st.composite
@@ -80,10 +84,10 @@ class TestQueryHandling:
         with pytest.raises(ValueError):
             fast.classification_values(np.zeros(3, dtype=bool))
 
-    def test_out_of_range_items_ignored(self, example):
+    def test_out_of_range_items_rejected(self, example):
         fast = FastBSTCEvaluator(example)
-        values = fast.classification_values(frozenset({0, 3, 4, 999}))
-        assert values[0] == pytest.approx(0.75)
+        with pytest.raises(QueryError, match="999 is outside"):
+            fast.classification_values(frozenset({0, 3, 4, 999}))
 
     def test_unknown_arithmetization_rejected(self, example):
         with pytest.raises(ValueError):
@@ -100,6 +104,75 @@ class TestQueryHandling:
         )
         fast = FastBSTCEvaluator(ds)
         assert fast.classification_values(frozenset({0}))[0] == 1.0
+
+
+def _vector(n_items, entries, dtype=float):
+    vector = np.zeros(n_items, dtype=dtype)
+    for index, value in entries.items():
+        vector[index] = value
+    return vector
+
+
+_N_ITEMS = running_example().n_items
+_FIGURE_3 = {0: 1, 3: 1, 4: 1}
+
+#: The query contract, one row per form: the query and the ``QueryError``
+#: message fragment every surface must raise (``None``: a valid spelling of
+#: the Figure 3 query {0, 3, 4}).
+_CONTRACT = [
+    pytest.param([1.9, 2.2], "got 1.9", id="float-items"),
+    pytest.param(["1", "2"], "got '1'", id="string-items"),
+    pytest.param([True, 2], "got True", id="bool-items"),
+    pytest.param(_vector(_N_ITEMS, {0: 0.2}), "0 or 1", id="fraction-vector"),
+    pytest.param(_vector(_N_ITEMS, {0: -3.0}), "0 or 1", id="negative-vector"),
+    pytest.param({0, 3, 4, 999}, "999 is outside", id="out-of-range-items"),
+    pytest.param({0, 3, 4}, None, id="item-set"),
+    pytest.param(_vector(_N_ITEMS, _FIGURE_3), None, id="float-vector"),
+    pytest.param(_vector(_N_ITEMS, _FIGURE_3, bool), None, id="bool-vector"),
+]
+
+
+class TestQueryContract:
+    """Every entry point reads a query through the one parser, so the
+    evaluator, the classifier (reference engine and explanations), the
+    service and the registry give identical bits or the same error."""
+
+    @pytest.mark.parametrize("query, error", _CONTRACT)
+    def test_every_surface_reads_a_query_the_same_way(
+        self, example, query, error
+    ):
+        fast = FastBSTCEvaluator(example)
+        reference = BSTClassifier(engine="reference").fit(example)
+        config = ServeConfig(max_wait_ms=0.0)
+        registry = ModelRegistry(config, counters=EngineCounters())
+        registry.deploy_model("mem", BSTClassifier().fit(example))
+        surfaces = [
+            fast.classification_values,
+            reference.classification_values,
+            lambda q: registry.classification_values("mem", q),
+            lambda q: np.array(registry.explain("mem", q).class_values),
+        ]
+        outcomes = []
+        try:
+            with PredictionService(
+                fast, config, counters=EngineCounters()
+            ) as service:
+                surfaces.append(service.classification_values)
+                for surface in surfaces:
+                    try:
+                        outcomes.append(surface(query))
+                    except QueryError as exc:
+                        outcomes.append(exc)
+        finally:
+            registry.close()
+        if error is None:
+            assert outcomes[0].tolist() == [0.75, 0.375]  # Figure 3
+            for values in outcomes:
+                assert np.array_equal(values, outcomes[0])
+        else:
+            assert all(isinstance(o, QueryError) for o in outcomes), outcomes
+            assert len({str(o) for o in outcomes}) == 1
+            assert error in str(outcomes[0])
 
 
 #: Query kinds for the batch-composition property.  On a vocabulary of at

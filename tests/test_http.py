@@ -6,10 +6,13 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from repro.core.classifier import BSTClassifier
 from repro.evaluation.timing import EngineCounters
 from repro.serving import GatewayServer, ModelRegistry, ServeConfig
+from repro.serving.surface import ERROR_SURFACE
 
 Q_ITEMS = [0, 3, 4]
 
@@ -179,6 +182,171 @@ class TestErrorMapping:
             {"items": Q_ITEMS, "tenant": "t"},
         )
         assert status == 200
+
+
+class TestQueryContract:
+    """Over HTTP the one query parser judges the body as sent: nothing is
+    coerced, and anything it cannot interpret is a 400 ``QueryError``."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"items": [1.9, 2.2]},
+            {"items": ["1", "2"]},
+            {"items": [True, 2]},
+            {"vector": [0.2, 0, 0, 1, 1, 0]},
+            {"vector": [-3.0, 0, 0, 1, 1, 0]},
+        ],
+        ids=["float-items", "string-items", "bool-items", "fraction", "negative"],
+    )
+    def test_uninterpretable_query_is_400(self, gateway, body):
+        status, payload = _request(f"{gateway.url}/v1/models/exp:predict", body)
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+
+    @pytest.mark.parametrize("items", [[0, 3, 99], [-1, 3]])
+    def test_explain_validates_the_query(self, gateway, items):
+        status, payload = _request(
+            f"{gateway.url}/v1/models/mem:explain", {"items": items}
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+
+    def test_every_valid_form_gives_identical_bits(self, gateway, example):
+        vector = [0.0] * example.n_items
+        for i in Q_ITEMS:
+            vector[i] = 1.0
+        answers = [
+            _request(f"{gateway.url}/v1/models/exp:predict", body)
+            for body in (
+                {"items": Q_ITEMS},
+                {"vector": vector},
+                {"vector": [bool(v) for v in vector]},
+            )
+        ]
+        assert [status for status, _ in answers] == [200, 200, 200]
+        assert all(p["values"] == [0.75, 0.375] for _, p in answers)
+
+    @pytest.mark.parametrize(
+        "verb, field, value",
+        [
+            ("predict", "deadline_ms", "nan"),
+            ("predict", "deadline_ms", True),
+            ("predict", "deadline_ms", float("nan")),
+            ("predict", "deadline_ms", -5),
+            ("predict", "tenant", 5),
+            ("explain", "class_id", "3"),
+            ("explain", "class_id", 1.0),
+            ("explain", "class_id", 99),
+            ("explain", "limit", -1),
+            ("explain", "min_satisfaction", float("inf")),
+        ],
+    )
+    def test_scalar_fields_are_strictly_typed(self, gateway, verb, field, value):
+        status, payload = _request(
+            f"{gateway.url}/v1/models/mem:{verb}",
+            {"items": Q_ITEMS, field: value},
+        )
+        assert status == 400
+        assert payload["error"]["type"] == "QueryError"
+        assert field in payload["error"]["message"]
+
+
+#: Elements the fuzzer mixes into ``items``/``vector`` arrays.
+_JSON_SCALARS = st.one_of(
+    st.integers(min_value=-3, max_value=9),
+    st.sampled_from([0, 1, 0.0, 1.0, True, False, 0.2, -3.0, 2**70]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1", "", None]),
+)
+_JSON_ELEMENTS = st.one_of(
+    _JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=2), st.just({})
+)
+_FUZZ_BODY_LIMIT = 2048
+
+
+def _contract_query(body, n_items):
+    """The canonical item set the contract accepts ``body`` as, or None —
+    written independently of the parser, from the contract's wording."""
+    keys = {"items", "vector"} & set(body)
+    if len(keys) != 1:
+        return None
+    key = keys.pop()
+    value = body[key]
+    if not isinstance(value, list):
+        return None
+    if key == "items":
+        if all(type(v) is int and 0 <= v < n_items for v in value):
+            return frozenset(value)
+        return None
+    if len(value) == n_items and all(
+        type(v) in (int, float, bool) and v in (0, 1) for v in value
+    ):
+        return frozenset(i for i, v in enumerate(value) if v)
+    return None
+
+
+class TestQueryBoundaryFuzz:
+    def test_every_body_is_answered_or_rejected_by_the_contract(
+        self, example
+    ):
+        clf = BSTClassifier().fit(example)
+        registry = ModelRegistry(
+            ServeConfig(max_wait_ms=0.5), counters=EngineCounters()
+        )
+        registry.deploy_model("mem", clf)
+        statuses = {
+            klass.__name__: status for klass, (status, _) in ERROR_SURFACE.items()
+        }
+        n = example.n_items
+        key_sets = st.sampled_from([("items",), ("vector",), ("items", "vector"), ()])
+        arrays = st.one_of(
+            st.lists(st.integers(min_value=-1, max_value=n), max_size=8),
+            st.lists(st.sampled_from([0, 1, 0.0, 1.0, True, False]),
+                     min_size=n, max_size=n),
+            st.lists(_JSON_ELEMENTS, max_size=n + 2),
+            _JSON_SCALARS,
+        )
+        try:
+            with GatewayServer(
+                registry, max_body_bytes=_FUZZ_BODY_LIMIT
+            ) as server:
+
+                @given(
+                    verb=st.sampled_from(["predict", "explain"]),
+                    keys=key_sets,
+                    payloads=st.tuples(arrays, arrays),
+                    pad=st.one_of(
+                        st.just(0), st.integers(0, 2 * _FUZZ_BODY_LIMIT)
+                    ),
+                )
+                @settings(max_examples=150, deadline=None)
+                def probe(verb, keys, payloads, pad):
+                    body = dict(zip(keys, payloads))
+                    if pad:
+                        body["pad"] = "x" * pad
+                    raw = json.dumps(body).encode()
+                    status, payload = _request(
+                        f"{server.url}/v1/models/mem:{verb}", body
+                    )
+                    query = _contract_query(body, n)
+                    if len(raw) > _FUZZ_BODY_LIMIT:
+                        query = None
+                    event(f"HTTP {status}")
+                    if query is None:
+                        assert 400 <= status < 500, (status, payload)
+                        error = payload["error"]
+                        assert statuses[error["type"]] == status
+                        assert error["status"] == status
+                        return
+                    assert status == 200, (body, payload)
+                    values = payload["values" if verb == "predict"
+                                     else "class_values"]
+                    assert values == clf.classification_values(query).tolist()
+
+                probe()
+        finally:
+            registry.close()
 
 
 class TestLifecycle:

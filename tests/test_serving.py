@@ -366,20 +366,6 @@ class TestQueryValidation:
             values, evaluator.classification_values({0, 3, 4})
         )
 
-    def test_validation_can_be_disabled(self, evaluator):
-        # With validation off, a wrong-width query reaches the kernel and
-        # fails there instead (as a per-query evaluation error).
-        query = np.zeros(evaluator.dataset.n_items + 3, dtype=bool)
-        with make_service(
-            evaluator,
-            counters=EngineCounters(),
-            validate_queries=False,
-            breaker_threshold=None,
-        ) as service:
-            with pytest.raises(Exception) as info:
-                service.classification_values(query)
-        assert not isinstance(info.value, QueryError)
-
 
 class TestDeadlines:
     def test_zero_deadline_rejected_at_submission(self, evaluator):
