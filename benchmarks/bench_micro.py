@@ -540,7 +540,7 @@ def test_service_threaded_throughput():
     """Micro-batched serving throughput, bounded from below in q/s.
 
     Eight concurrent callers push 64 requests through a
-    ``PredictionService`` (max_batch=8, max_wait_ms=1.0).  Served values
+    ``PredictionService`` (max_batch=8).  Served values
     must equal both the batched kernel's and the single-query answers bit
     for bit (always gating); the q/s floor is relaxed under
     REPRO_BENCH_SMOKE, where the profile also shrinks.  Serial single-query
@@ -583,7 +583,6 @@ def test_service_threaded_throughput():
         evaluator,
         ServeConfig(
             max_batch=8,
-            max_wait_ms=1.0,
             default_deadline_ms=60_000.0,
             shed_high=4 * n_requests,
             breaker_threshold=5,
@@ -699,8 +698,7 @@ def test_registry_aggregate_throughput():
 
     with PredictionService(
         _Dispatcher(),
-        ServeConfig(max_batch=1, max_wait_ms=0.0,
-                    default_deadline_ms=60_000.0),
+        ServeConfig(max_batch=1, default_deadline_ms=60_000.0),
     ) as shared:
 
         def submit_shared(model_id, row):
@@ -712,8 +710,7 @@ def test_registry_aggregate_throughput():
         shared_seconds, shared_results = drive(submit_shared)
 
     registry = ModelRegistry(
-        ServeConfig(max_batch=8, max_wait_ms=4.0,
-                    default_deadline_ms=60_000.0)
+        ServeConfig(max_batch=8, default_deadline_ms=60_000.0)
     )
     try:
         for i, evaluator in enumerate(evaluators):

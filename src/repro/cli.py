@@ -362,12 +362,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest coalesced kernel batch per slot (default: 32)",
     )
     serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="how long an open batch waits for stragglers (default: 2.0)",
-    )
-    serve.add_argument(
         "--deadline-ms",
         type=float,
         default=None,
@@ -484,12 +478,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=8,
         help="largest coalesced kernel batch (default: 8)",
-    )
-    bench.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=1.0,
-        help="how long an open batch waits for stragglers (default: 1.0)",
     )
     bench.add_argument(
         "--query-items",
@@ -916,7 +904,6 @@ def _run_serve_supervised(args: argparse.Namespace) -> int:
     extra: List[str] = [
         "--workers", str(args.workers),
         "--max-batch", str(args.max_batch),
-        "--max-wait-ms", str(args.max_wait_ms),
     ]
     if args.tenant_quota is not None:
         extra += ["--tenant-quota", str(args.tenant_quota)]
@@ -999,7 +986,6 @@ def _run_serve(args: argparse.Namespace) -> int:
     admin_token = _admin_token_from(args)
     config = ServeConfig(
         max_batch=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         default_deadline_ms=args.deadline_ms,
         shed_high=args.shed_high,
         workers=args.workers,
@@ -1099,10 +1085,7 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
     outcomes_lock = threading.Lock()
     outcomes = {"ok": 0, "rejected": 0}
     last_rejection: List[ServiceError] = []
-    with PredictionService(
-        clf,
-        ServeConfig(max_batch=args.max_batch, max_wait_ms=args.max_wait_ms),
-    ) as service:
+    with PredictionService(clf, ServeConfig(max_batch=args.max_batch)) as service:
 
         def caller(thread_id: int) -> None:
             lo = thread_id * per_thread
@@ -1133,12 +1116,14 @@ def _run_serve_bench(args: argparse.Namespace) -> int:
         # to the exit-code mapping instead of reporting 0 q/s as success.
         raise last_rejection[0]
     service_qps = served / service_elapsed if service_elapsed else 0.0
+    batches = service.counters.get("service_batches")
+    mean_batch = service.counters.get("service_batched_queries") / max(batches, 1)
 
     print(f"serial   : {args.requests} requests, {serial_qps:10.1f} q/s")
     print(
         f"service  : {served} requests over {args.threads} threads,"
         f" {service_qps:10.1f} q/s"
-        f" (max_batch={args.max_batch}, max_wait_ms={args.max_wait_ms})"
+        f" (max_batch={args.max_batch}, mean batch {mean_batch:.2f})"
     )
     if outcomes["rejected"]:
         print(f"rejected : {outcomes['rejected']} requests (overload/breaker)")

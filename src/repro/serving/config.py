@@ -10,6 +10,7 @@ hand it to as many services as you like.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Optional
 
@@ -21,10 +22,9 @@ class ServeConfig:
     """Validated configuration for one micro-batching prediction service.
 
     Attributes:
-        max_batch: largest batch the worker hands to the kernel.
-        max_wait_ms: how long the worker holds an open batch for stragglers
-            once it has at least one request (``0`` batches only what is
-            already queued).
+        max_batch: largest batch the worker hands to the kernel (the
+            worker batches only requests already queued, so this bounds
+            memory, not latency).
         max_pending: bound on queued requests; submitters past it block
             until the worker catches up (backpressure).
         default_deadline_ms: deadline applied to requests that do not carry
@@ -40,14 +40,6 @@ class ServeConfig:
             half-opening to probe recovery.
         restart_backoff: base of the crashed worker's deterministic
             exponential restart backoff (capped at 1s).
-        adaptive_batch: let the worker tune its *effective* batch ceiling
-            between 1 and ``max_batch`` from observed batch compute latency:
-            batches costing more than the ``max_wait_ms`` straggler budget
-            shrink the ceiling (halving), comfortably cheap ones grow it
-            back (one step).  Keeps tail latency near the configured wait
-            budget when model cost drifts, without retuning ``max_batch``
-            by hand.  Requires ``max_wait_ms > 0`` (the budget being
-            adapted against).
         workers: registry-only — size of the optional multi-process worker
             pool behind an artifact-backed model slot (``0`` evaluates in
             the service thread; the memmapped artifact format lets N
@@ -60,7 +52,6 @@ class ServeConfig:
     """
 
     max_batch: int = 32
-    max_wait_ms: float = 2.0
     max_pending: int = 1024
     default_deadline_ms: Optional[float] = None
     shed_high: Optional[int] = None
@@ -68,19 +59,19 @@ class ServeConfig:
     breaker_threshold: Optional[int] = 5
     breaker_cooldown: float = 1.0
     restart_backoff: float = 0.05
-    adaptive_batch: bool = False
     workers: int = 0
     admin_token: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.default_deadline_ms is not None and self.default_deadline_ms <= 0:
-            raise ValueError("default_deadline_ms must be positive")
+        if self.default_deadline_ms is not None and not (
+            math.isfinite(self.default_deadline_ms)
+            and self.default_deadline_ms > 0
+        ):
+            raise ValueError("default_deadline_ms must be positive and finite")
         if self.shed_low is not None and self.shed_high is None:
             raise ValueError("shed_low needs shed_high")
         if self.shed_high is not None:
@@ -92,12 +83,11 @@ class ServeConfig:
                 raise ValueError("need 0 <= shed_low < shed_high")
         if self.breaker_threshold is not None and self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1 (or None)")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be >= 0")
-        if self.restart_backoff < 0:
-            raise ValueError("restart_backoff must be >= 0")
-        if self.adaptive_batch and self.max_wait_ms <= 0:
-            raise ValueError("adaptive_batch requires max_wait_ms > 0")
+        # ``nan < 0`` is False, so a sign check alone would admit NaN.
+        for name in ("breaker_cooldown", "restart_backoff"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
         if self.admin_token is not None and not self.admin_token:

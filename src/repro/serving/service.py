@@ -3,13 +3,13 @@
 Single-query callers never benefit from the batched BSTCE kernel: each
 ``classification_values`` call pays the full per-query dispatch and matmul
 cost alone.  :class:`PredictionService` closes that gap for concurrent
-callers — requests are enqueued, a dedicated worker thread coalesces
-whatever has accumulated (up to ``max_batch``, waiting at most
-``max_wait_ms`` for stragglers) into one
+callers — requests are enqueued, a dedicated worker thread takes the next
+one and everything already queued behind it (up to ``max_batch``) into one
 ``classification_values_batch`` call, and each caller gets exactly its own
-row back.  Under concurrent load the per-query cost converges to the batched
-kernel's amortized cost; an idle service adds at most ``max_wait_ms`` of
-latency to a lone request.
+row back.  The worker never waits for stragglers: a request that finds it
+idle is evaluated at once, and batches form only from requests that queued
+while the worker was busy.  BSTC scores each query on its own, so batching
+exists only to save kernel work under backlog.
 
 Design points:
 
@@ -22,11 +22,6 @@ Design points:
   (memory stays bounded no matter how fast callers arrive).  Optional
   load shedding (``shed_high``/``shed_low``) turns that blocking into a
   fast :class:`ServiceOverloaded` rejection with hysteresis.
-* **Adaptive batching** — with ``ServeConfig(adaptive_batch=True)`` the
-  worker tunes its effective batch ceiling between 1 and ``max_batch``
-  from observed batch compute latency (AIMD against the ``max_wait_ms``
-  budget), visible in :meth:`PredictionService.health` as
-  ``effective_max_batch`` and counted under ``service_adaptive_*``.
 * **Deadlines** — a per-request deadline (``deadline_ms``) travels with
   the request into the batch loop; an expired request is answered with
   :class:`DeadlineExceeded` instead of occupying a batch slot.
@@ -61,6 +56,7 @@ model artifact via :func:`repro.core.artifact.load_artifact`) or a fitted
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
@@ -134,10 +130,6 @@ class ServiceHealth:
     #: open) — the same number :class:`CircuitOpen.retry_after` would carry,
     #: but observable without submitting a request.
     breaker_retry_after: float = 0.0
-    #: The batch ceiling the worker is currently assembling to.  Equals the
-    #: configured ``max_batch`` unless ``adaptive_batch`` has tuned it down
-    #: (or back up) from observed batch compute latency.
-    effective_max_batch: int = 0
 
     @property
     def ready(self) -> bool:
@@ -179,7 +171,6 @@ class PredictionService:
         self._config = config
         self._model = model
         self._max_batch = int(config.max_batch)
-        self._max_wait = float(config.max_wait_ms) / 1000.0
         self._counters = counters if counters is not None else engine_counters
         self._default_deadline = (
             None
@@ -191,10 +182,6 @@ class PredictionService:
         self._breaker_threshold = config.breaker_threshold
         self._breaker_cooldown = float(config.breaker_cooldown)
         self._restart_backoff = float(config.restart_backoff)
-        self._adaptive = bool(config.adaptive_batch)
-        #: Current batch ceiling (<= max_batch); mutated under _state_lock
-        #: by the AIMD controller when adaptive_batch is on.
-        self._effective_max_batch = self._max_batch
         self._queue: "queue.Queue[Any]" = queue.Queue(
             maxsize=int(config.max_pending)
         )
@@ -341,7 +328,6 @@ class PredictionService:
                 shedding=self._shedding,
                 answered=self._answered,
                 breaker_retry_after=retry_after,
-                effective_max_batch=self._effective_max_batch,
             )
 
     # ------------------------------------------------------------------
@@ -364,8 +350,10 @@ class PredictionService:
                 else now + self._default_deadline
             )
         else:
-            if deadline_ms < 0:
-                raise QueryError(f"deadline_ms must be >= 0, got {deadline_ms}")
+            if not (math.isfinite(deadline_ms) and deadline_ms >= 0):
+                raise QueryError(
+                    f"deadline_ms must be finite and >= 0, got {deadline_ms}"
+                )
             deadline = now + float(deadline_ms) / 1000.0
         request = _Request(query=query, enqueued_at=now, deadline=deadline)
         if deadline is not None and deadline <= now:
@@ -436,24 +424,15 @@ class PredictionService:
             if self._expired(item):
                 self._answer_expired(item)
                 continue
+            # Take only what is already queued and never wait: a request
+            # that finds the worker idle is evaluated at once.
             batch = [item]
-            deadline = time.monotonic() + self._max_wait
             saw_shutdown = False
-            with self._state_lock:
-                batch_limit = self._effective_max_batch
-            while len(batch) < batch_limit:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    # Batch window closed; take only what is already queued.
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                else:
-                    try:
-                        extra = self._queue.get(timeout=remaining)
-                    except queue.Empty:
-                        break
+            while len(batch) < self._max_batch:
+                try:
+                    extra = self._queue.get_nowait()
+                except queue.Empty:
+                    break
                 if extra is _SHUTDOWN:
                     saw_shutdown = True
                     break
@@ -526,7 +505,6 @@ class PredictionService:
         self._counters.increment("service_batched_queries", len(batch))
         self._counters.observe_max("max_service_batch", len(batch))
         self._counters.add_seconds("service_compute", finished - started)
-        self._adapt(finished - started)
         for row, request in zip(values, batch):
             request.values = row
             self._counters.add_seconds(
@@ -535,29 +513,6 @@ class PredictionService:
             self._answered += 1
             request.done.set()
         return None
-
-    def _adapt(self, compute_seconds: float) -> None:
-        """AIMD batch-ceiling controller, fed by each successful batch.
-
-        A batch whose kernel time blew past twice the ``max_wait_ms``
-        straggler budget halves the effective ceiling (multiplicative
-        decrease — latency recovers fast); one comfortably under half the
-        budget raises it by one (additive increase — throughput creeps back
-        as the model speeds up).  The ceiling never leaves ``[1,
-        max_batch]``; moves are counted under ``service_adaptive_shrinks``
-        / ``service_adaptive_grows``.
-        """
-        if not self._adaptive:
-            return
-        budget = self._max_wait
-        with self._state_lock:
-            current = self._effective_max_batch
-            if compute_seconds > 2.0 * budget and current > 1:
-                self._effective_max_batch = max(1, current // 2)
-                self._counters.increment("service_adaptive_shrinks")
-            elif compute_seconds < 0.5 * budget and current < self._max_batch:
-                self._effective_max_batch = current + 1
-                self._counters.increment("service_adaptive_grows")
 
     def _on_worker_crash(self, exc: BaseException) -> None:
         """Supervisor: fail over the in-flight batch, restart the worker

@@ -143,7 +143,7 @@ class TestQueryContract:
     ):
         fast = FastBSTCEvaluator(example)
         reference = BSTClassifier(engine="reference").fit(example)
-        config = ServeConfig(max_wait_ms=0.0)
+        config = ServeConfig()
         registry = ModelRegistry(config, counters=EngineCounters())
         registry.deploy_model("mem", BSTClassifier().fit(example))
         surfaces = [

@@ -22,7 +22,7 @@ def gateway(tmp_path, example):
     clf = BSTClassifier().fit(example)
     artifact = clf.save(tmp_path / "model.npz")
     registry = ModelRegistry(
-        ServeConfig(max_wait_ms=0.5),
+        ServeConfig(),
         tenant_quota=4,
         counters=EngineCounters(),
     )
@@ -292,7 +292,7 @@ class TestQueryBoundaryFuzz:
     ):
         clf = BSTClassifier().fit(example)
         registry = ModelRegistry(
-            ServeConfig(max_wait_ms=0.5), counters=EngineCounters()
+            ServeConfig(), counters=EngineCounters()
         )
         registry.deploy_model("mem", clf)
         statuses = {

@@ -123,7 +123,7 @@ class TestHotSwap:
         artifact = BSTClassifier().fit(example).save(tmp_path / "m.npz")
         counters = EngineCounters()
         registry = ModelRegistry(
-            ServeConfig(max_batch=4, max_wait_ms=0.5),
+            ServeConfig(max_batch=4),
             counters=counters,
         )
         registry.deploy("exp", artifact)
@@ -205,7 +205,7 @@ class TestTenantQuota:
         gated = _Gated(clf)
         counters = EngineCounters()
         registry = ModelRegistry(
-            ServeConfig(max_batch=1, max_wait_ms=0.0),
+            ServeConfig(max_batch=1),
             tenant_quota=2,
             counters=counters,
         )

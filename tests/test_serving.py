@@ -107,7 +107,7 @@ class TestCorrectness:
             results[i] = service.classification_values(queries[i])
 
         with make_service(
-            evaluator, max_batch=8, max_wait_ms=5.0, counters=EngineCounters()
+            evaluator, max_batch=8, counters=EngineCounters()
         ) as service:
             threads = [
                 threading.Thread(target=call, args=(i,))
@@ -122,39 +122,50 @@ class TestCorrectness:
 
 class TestBatching:
     def test_concurrent_load_coalesces(self, evaluator):
+        # Wedge the worker in its first batch, queue 8 requests behind it,
+        # then release: the worker takes all 8 queued requests as one batch.
+        gate = threading.Event()
+        model = _GatedModel(evaluator, {0: gate})
         counters = EngineCounters()
         rng = np.random.default_rng(9)
-        queries = _queries(rng, evaluator.dataset.n_items, n=32)
-        barrier = threading.Barrier(len(queries))
+        queries = _queries(rng, evaluator.dataset.n_items, n=8)
+        zeros = np.zeros(evaluator.dataset.n_items, dtype=bool)
+        results = [None] * len(queries)
 
-        def call(q):
-            barrier.wait()
-            service.classification_values(q)
+        def call(i):
+            results[i] = service.classification_values(queries[i], timeout=30)
 
-        with make_service(
-            evaluator, max_batch=8, max_wait_ms=20.0, counters=counters
-        ) as service:
+        with make_service(model, max_batch=8, counters=counters) as service:
+            wedge = threading.Thread(
+                target=service.classification_values, args=(zeros,)
+            )
+            wedge.start()
+            assert model.started.wait(5.0)
             threads = [
-                threading.Thread(target=call, args=(q,)) for q in queries
+                threading.Thread(target=call, args=(i,))
+                for i in range(len(queries))
             ]
             for t in threads:
                 t.start()
+            assert _poll(lambda: service.pending() >= 8)
+            gate.set()
+            wedge.join()
             for t in threads:
                 t.join()
         snap = counters.snapshot()
-        assert snap["service_requests"] == len(queries)
-        assert snap["service_batched_queries"] == len(queries)
-        # 32 simultaneous callers over batches of <= 8 must coalesce at
-        # least once; all-singleton batching would mean 32 batches.
-        assert snap["max_service_batch"] > 1
-        assert snap["service_batches"] < len(queries)
+        assert snap["service_requests"] == len(queries) + 1
+        assert snap["service_batches"] == 2  # the wedge, then the 8 queued
+        assert snap["max_service_batch"] == 8
         assert snap["service_compute_seconds"] > 0
         assert snap["service_latency_seconds"] > 0
+        # Each caller's row equals the one-batch evaluation bit for bit.
+        expected = evaluator.classification_values_batch(queries)
+        assert np.array_equal(np.asarray(results), expected)
 
     def test_lone_request_is_answered(self, evaluator):
         counters = EngineCounters()
         with make_service(
-            evaluator, max_wait_ms=0.0, counters=counters
+            evaluator, counters=counters
         ) as service:
             query = np.zeros(evaluator.dataset.n_items, dtype=bool)
             service.classification_values(query)
@@ -213,7 +224,7 @@ class TestLifecycle:
                 errors.append(exc)
 
         with make_service(
-            Broken(), max_wait_ms=10.0, counters=counters, breaker_threshold=None
+            Broken(), counters=counters, breaker_threshold=None
         ) as service:
             threads = [
                 threading.Thread(target=call, args=(service,))
@@ -236,7 +247,6 @@ class TestLifecycle:
         with make_service(
             evaluator,
             max_batch=4,
-            max_wait_ms=1.0,
             max_pending=2,
             counters=EngineCounters(),
         ) as service:
@@ -261,8 +271,6 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             make_service(evaluator, max_batch=0)
         with pytest.raises(ValueError):
-            make_service(evaluator, max_wait_ms=-1.0)
-        with pytest.raises(ValueError):
             make_service(evaluator, max_pending=0)
 
 
@@ -280,7 +288,6 @@ class TestShutdownStress:
             service = make_service(
                 evaluator,
                 max_batch=4,
-                max_wait_ms=0.5,
                 max_pending=8,
                 counters=counters,
             )
@@ -379,6 +386,19 @@ class TestDeadlines:
         assert counters.get("service_deadline_exceeded") == 1
         assert counters.get("service_requests") == 0  # never enqueued
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_deadline_is_a_query_error(
+        self, evaluator, bad
+    ):
+        counters = EngineCounters()
+        with make_service(evaluator, counters=counters) as service:
+            with pytest.raises(QueryError, match="deadline_ms"):
+                service.classification_values(
+                    np.zeros(evaluator.dataset.n_items, dtype=bool),
+                    deadline_ms=bad,
+                )
+        assert counters.get("service_requests") == 0  # never enqueued
+
     def test_expired_request_never_occupies_a_batch_slot(self, evaluator):
         # Wedge the worker inside batch 0, let a deadlined request expire in
         # the queue, then release: the worker must answer it with
@@ -389,7 +409,7 @@ class TestDeadlines:
         zeros = np.zeros(evaluator.dataset.n_items, dtype=bool)
         outcome = {}
         with make_service(
-            model, max_batch=1, max_wait_ms=0.0, counters=counters
+            model, max_batch=1, counters=counters
         ) as service:
             wedge = threading.Thread(
                 target=service.classification_values, args=(zeros,)
@@ -423,7 +443,6 @@ class TestDeadlines:
         with make_service(
             model,
             max_batch=1,
-            max_wait_ms=0.0,
             default_deadline_ms=20.0,
             counters=EngineCounters(),
         ) as service:
@@ -463,7 +482,6 @@ class TestAdmissionControl:
         service = make_service(
             model,
             max_batch=1,
-            max_wait_ms=0.0,
             shed_high=2,
             shed_low=0,
             counters=counters,
@@ -550,7 +568,7 @@ class TestPoisonIsolation:
                 results[key] = exc
 
         with make_service(
-            model, max_batch=8, max_wait_ms=50.0, counters=counters
+            model, max_batch=8, counters=counters
         ) as service:
             wedge = threading.Thread(target=call, args=("wedge", zeros))
             wedge.start()
@@ -585,7 +603,6 @@ class TestWorkerSupervision:
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         with make_service(
             flaky,
-            max_wait_ms=0.0,
             restart_backoff=0.0,
             breaker_threshold=None,
             counters=counters,
@@ -627,7 +644,6 @@ class TestWorkerSupervision:
         with make_service(
             flaky,
             max_batch=4,
-            max_wait_ms=20.0,
             restart_backoff=0.0,
             breaker_threshold=None,
             counters=counters,
@@ -670,7 +686,6 @@ class TestCircuitBreaker:
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         with make_service(
             flaky,
-            max_wait_ms=0.0,
             breaker_threshold=2,
             breaker_cooldown=0.2,
             counters=counters,
@@ -706,7 +721,6 @@ class TestCircuitBreaker:
         query = np.zeros(evaluator.dataset.n_items, dtype=bool)
         with make_service(
             flaky,
-            max_wait_ms=0.0,
             breaker_threshold=1,
             breaker_cooldown=0.15,
             counters=counters,
@@ -745,7 +759,6 @@ class TestCloseCrashStress:
             service = make_service(
                 flaky,
                 max_batch=4,
-                max_wait_ms=0.5,
                 restart_backoff=0.0,
                 breaker_threshold=None,
                 counters=EngineCounters(),
@@ -842,7 +855,7 @@ class TestServeConfigSurface:
     not keyword arguments of the service."""
 
     def test_config_object_is_the_canonical_path(self, evaluator):
-        config = ServeConfig(max_batch=4, max_wait_ms=0.5)
+        config = ServeConfig(max_batch=4)
         with PredictionService(
             evaluator, config, counters=EngineCounters()
         ) as service:
@@ -867,6 +880,11 @@ class TestServeConfigSurface:
             ServeConfig(shed_low=4)  # shed_low needs shed_high
         with pytest.raises(ValueError):
             ServeConfig(workers=-1)
+        # ``nan < 0`` is False: non-finite values need their own check.
+        for field in ("default_deadline_ms", "breaker_cooldown", "restart_backoff"):
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(ValueError, match=field):
+                    ServeConfig(**{field: bad})
         assert ServeConfig(shed_high=8).shed_low == 4  # hysteresis default
 
     def test_with_overrides_revalidates(self):
@@ -874,74 +892,3 @@ class TestServeConfigSurface:
         assert config.with_overrides(max_batch=8).max_batch == 8
         with pytest.raises(ValueError):
             config.with_overrides(max_batch=0)
-
-
-class TestAdaptiveBatching:
-    """The AIMD batch-ceiling controller behind adaptive_batch=True."""
-
-    def test_requires_wait_budget(self):
-        with pytest.raises(ValueError, match="adaptive_batch"):
-            ServeConfig(adaptive_batch=True, max_wait_ms=0)
-
-    def test_disabled_by_default(self, evaluator):
-        counters = EngineCounters()
-        with make_service(
-            evaluator, max_batch=8, counters=counters
-        ) as service:
-            service.predict({0, 1})
-            health = service.health()
-            assert health.effective_max_batch == 8
-            # The controller never moves when adaptive_batch is off.
-            service._adapt(100.0)
-            assert service.health().effective_max_batch == 8
-        assert counters.get("service_adaptive_shrinks") == 0
-        assert counters.get("service_adaptive_grows") == 0
-
-    def test_controller_shrinks_and_regrows(self, evaluator):
-        # Drive the controller directly: deterministic, no sleeps.
-        counters = EngineCounters()
-        config = ServeConfig(max_batch=8, max_wait_ms=10.0, adaptive_batch=True)
-        with make_service(evaluator, config, counters=counters) as service:
-            budget = 10.0 / 1000.0
-            # Over 2x the budget: multiplicative decrease 8 -> 4 -> 2 -> 1.
-            for expected in (4, 2, 1, 1):
-                service._adapt(3.0 * budget)
-                assert service.health().effective_max_batch == expected
-            assert counters.get("service_adaptive_shrinks") == 3
-            # Under half the budget: additive increase back to the cap.
-            for expected in (2, 3, 4):
-                service._adapt(0.1 * budget)
-                assert service.health().effective_max_batch == expected
-            for _ in range(10):
-                service._adapt(0.1 * budget)
-            assert service.health().effective_max_batch == 8  # capped
-            assert counters.get("service_adaptive_grows") == 7  # 1 -> 8
-            # In the comfort band (between 0.5x and 2x): no move.
-            service._adapt(1.0 * budget)
-            assert service.health().effective_max_batch == 8
-
-    def test_slow_model_shrinks_under_load(self, evaluator):
-        class _SlowModel:
-            def __init__(self, inner, delay):
-                self.inner = inner
-                self.delay = delay
-
-            @property
-            def dataset(self):
-                return self.inner.dataset
-
-            def classification_values_batch(self, queries):
-                time.sleep(self.delay)
-                return self.inner.classification_values_batch(queries)
-
-        counters = EngineCounters()
-        config = ServeConfig(
-            max_batch=8, max_wait_ms=2.0, adaptive_batch=True
-        )
-        slow = _SlowModel(evaluator, delay=0.02)  # 5x the 4ms shrink bar
-        with make_service(slow, config, counters=counters) as service:
-            for _ in range(4):
-                service.predict({0, 1})
-            health = service.health()
-            assert health.effective_max_batch == 1
-        assert counters.get("service_adaptive_shrinks") >= 3

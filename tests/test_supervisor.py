@@ -171,6 +171,59 @@ class TestServeCommand:
         assert "--admin-token tok" in text
         assert text.endswith("--workers 2")
 
+    def test_supervise_forwards_only_flags_serve_accepts(
+        self, tmp_path, monkeypatch
+    ):
+        # `serve --supervise` rebuilds the child's argv by hand; a flag the
+        # child `serve` no longer accepts would crash every restart.
+        import tempfile
+
+        import repro.serving
+        from repro.cli import _build_parser, main
+
+        recorded = []
+
+        class Recorder:
+            url = "http://127.0.0.1:8123"
+            pid = 0
+
+            def __init__(self, command, **kwargs):
+                recorded.append(command)
+
+            def start(self):
+                pass
+
+            def run_forever(self):
+                return 0
+
+            def stop(self):
+                return 0
+
+        monkeypatch.setattr(repro.serving, "GatewaySupervisor", Recorder)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        argv = [
+            "serve", "--supervise", "--port", "8123",
+            "--artifact", "model.npz",
+            "--max-batch", "7",
+            "--deadline-ms", "250.0",
+            "--shed-high", "9",
+            "--tenant-quota", "3",
+            "--workers", "2",
+        ]
+        assert main(argv) == 0
+        (command,) = recorded
+        parser = _build_parser()
+        parent = parser.parse_args(argv)
+        child = parser.parse_args(command[command.index("repro.cli") + 1 :])
+        assert child.command == "serve"
+        assert not child.supervise
+        for name in (
+            "port", "max_batch", "deadline_ms", "shed_high",
+            "tenant_quota", "workers",
+        ):
+            assert getattr(child, name) == getattr(parent, name), name
+        assert child.model == ["default=model.npz"]
+
     def test_validates_knobs(self, tmp_path):
         command = ["true"]
         with pytest.raises(ValueError):
