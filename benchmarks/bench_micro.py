@@ -55,6 +55,7 @@ BENCH_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 _REFERENCE = {
     "batched_bstce_ms_per_query": 0.0688,
     "plan_kernel_batch_ms": 522.3,
+    "pc_kernel_ms_per_query": 1.9,
     "plan_hot_bytes": 28_851_506,
     "artifact_cold_start_ms": 61.1,
     "service_threaded_qps": 29.7,
@@ -391,6 +392,40 @@ def test_plan_kernel_latency():
     )
     _gate_at_most("plan_hot_bytes", float(plan_bytes), slack=1.0)
     _gate_at_most("plan_kernel_batch_ms", batch_ms)
+
+
+def test_pc_kernel_latency():
+    """Plan-kernel ms per query at the ``offline_pc`` geometry, bounded in
+    absolute terms: 136 training rows over ~2700 items in 2 classes at
+    ~0.5 density, probed by one block of ~0.5-density queries.
+
+    Here every query expresses about half the vocabulary, so each
+    (inside row, query) row gives the ``min`` threshold sweep hundreds of
+    genes to cover, where a query of the sparse profile above gives it
+    tens.  Exact, never relaxed: the first query alone equals its batch
+    row.
+    """
+    if BENCH_SMOKE:
+        n_items, n_reps = 700, 2
+    else:
+        n_items, n_reps = 2700, 6
+    dataset = _serving_dataset(136, n_items, 2, 0.5, seed=21)
+    evaluator = FastBSTCEvaluator(dataset)
+    rng = np.random.default_rng(22)
+    batch = rng.random((64, n_items)) < 0.5
+    values = evaluator.classification_values_batch(batch)
+    assert np.array_equal(evaluator.classification_values(batch[0]), values[0])
+
+    seconds = _best_of(
+        3,
+        lambda: [
+            evaluator.classification_values_batch(batch)
+            for _ in range(n_reps)
+        ],
+    )
+    ms_per_query = seconds / (n_reps * len(batch)) * 1e3
+    print(f"\nPC-shaped kernel: {ms_per_query:.3f} ms/query")
+    _gate_at_most("pc_kernel_ms_per_query", ms_per_query)
 
 
 # ----------------------------------------------------------------------

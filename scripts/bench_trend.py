@@ -41,6 +41,7 @@ GATES = {
         "artifact_cold_start_speedup": "up",
         "artifact_cold_start_ms": "down",
         "plan_kernel_batch_ms": "down",
+        "pc_kernel_ms_per_query": "down",
         "plan_hot_bytes": "down",
         "service_threaded_qps": "up",
         "registry_aggregate_qps": "up",

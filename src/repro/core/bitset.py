@@ -25,11 +25,12 @@ Two types:
   copy-pasted across ``bst/mining.py``, ``baselines/charm.py``,
   ``rules/groups.py``, and ``baselines/topk.py``.
 
-Population counts go through :func:`numpy.bitwise_count` when available
-(numpy >= 2.0) and fall back to a vectorized SWAR popcount otherwise.
-Setting the ``REPRO_FORCE_SWAR`` environment variable (to anything but
-``""``/``"0"``) before import forces the SWAR path, so the numpy < 2
-fallback stays testable on modern numpy.
+Population counts — of a whole word array, or of every row at once
+(:func:`popcount_rows`) — go through :func:`numpy.bitwise_count` when
+available (numpy >= 2.0) and fall back to a vectorized SWAR popcount
+otherwise.  Setting the ``REPRO_FORCE_SWAR`` environment variable (to
+anything but ``""``/``"0"``) before import forces the SWAR path, so the
+numpy < 2 fallback stays testable on modern numpy.
 
 The kernel keeps cheap module-level operation counters (set ops, popcounts,
 row reductions); :func:`flush_kernel_counters` folds them into the
@@ -49,18 +50,23 @@ _U64 = np.uint64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
-def _swar_popcount_words(words: np.ndarray) -> int:
-    """Vectorized SWAR popcount — the numpy < 2.0 fallback, always defined
-    so it stays testable (and forceable via ``REPRO_FORCE_SWAR``)."""
-    x = words.copy()
+def _swar_word_counts(words: np.ndarray) -> np.ndarray:
+    """Per-word set-bit counts by vectorized SWAR — the numpy < 2.0
+    fallback, always defined so it stays testable (and forceable via
+    ``REPRO_FORCE_SWAR``).  Never mutates ``words``."""
     m1 = np.uint64(0x5555555555555555)
     m2 = np.uint64(0x3333333333333333)
     m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
     h01 = np.uint64(0x0101010101010101)
-    x -= (x >> np.uint64(1)) & m1
+    x = words - ((words >> np.uint64(1)) & m1)
     x = (x & m2) + ((x >> np.uint64(2)) & m2)
     x = (x + (x >> np.uint64(4))) & m4
-    return int(((x * h01) >> np.uint64(56)).sum())
+    return (x * h01) >> np.uint64(56)
+
+
+def _swar_popcount_words(words: np.ndarray) -> int:
+    """Total set bits across an array of uint64 words (SWAR)."""
+    return int(_swar_word_counts(words).sum())
 
 
 def _native_popcount_words(words: np.ndarray) -> int:
@@ -68,12 +74,26 @@ def _native_popcount_words(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
 
+def _swar_popcount_rows(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a ``(..., n_words)`` uint64 array (SWAR)."""
+    return _swar_word_counts(words).sum(axis=-1, dtype=np.int64)
+
+
+def _native_popcount_rows(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of a ``(..., n_words)`` uint64 array."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+
+
 _FORCE_SWAR = os.environ.get("REPRO_FORCE_SWAR", "") not in ("", "0")
 
+# ``popcount_rows`` is the one row-wise popcount: every per-row count of
+# packed words (``BitMatrix.row_counts``, the BSTCE ``min`` sweep) calls it.
 if hasattr(np, "bitwise_count") and not _FORCE_SWAR:
     _popcount_words = _native_popcount_words
+    popcount_rows = _native_popcount_rows
 else:
     _popcount_words = _swar_popcount_words
+    popcount_rows = _swar_popcount_rows
 
 
 class _KernelStats:
@@ -206,7 +226,7 @@ class BitSet:
         mask = np.ascontiguousarray(mask, dtype=bool)
         if mask.ndim != 1:
             raise ValueError("mask must be 1-dimensional")
-        return BitSet(_pack_bool_rows(mask[None, :])[0].copy(), mask.shape[0])
+        return BitSet(pack_rows(mask[None, :])[0].copy(), mask.shape[0])
 
     # ------------------------------------------------------------------
     # Introspection
@@ -386,7 +406,7 @@ class BitSet:
         return self._hash
 
 
-def _pack_bool_rows(matrix: np.ndarray) -> np.ndarray:
+def pack_rows(matrix: np.ndarray) -> np.ndarray:
     """Pack a dense boolean (rows x cols) matrix into (rows x n_words)
     uint64 words with bit ``k`` of a row in word ``k >> 6`` at ``k & 63``.
 
@@ -427,7 +447,7 @@ class BitMatrix:
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-dimensional")
         _stats.matrix_builds += 1
-        return BitMatrix(_pack_bool_rows(matrix), matrix.shape[1])
+        return BitMatrix(pack_rows(matrix), matrix.shape[1])
 
     @staticmethod
     def from_sets(
@@ -463,14 +483,7 @@ class BitMatrix:
     def row_counts(self) -> np.ndarray:
         """Population count of every row (vectorized)."""
         _stats.popcounts += 1
-        if not self._words.size:
-            return np.zeros(self.n_rows, dtype=np.int64)
-        if hasattr(np, "bitwise_count"):
-            return np.bitwise_count(self._words).sum(axis=1).astype(np.int64)
-        return np.array(
-            [_popcount_words(self._words[i]) for i in range(self.n_rows)],
-            dtype=np.int64,
-        )
+        return popcount_rows(self._words)
 
     def to_bool(self) -> np.ndarray:
         out = np.zeros((self.n_rows, self._n_cols), dtype=bool)
@@ -495,7 +508,7 @@ class BitMatrix:
             )
         _stats.matrix_builds += 1
         return BitMatrix(
-            np.vstack([self._words, _pack_bool_rows(rows)]), self._n_cols
+            np.vstack([self._words, pack_rows(rows)]), self._n_cols
         )
 
     def append_universe(self, extra: np.ndarray) -> "BitMatrix":
@@ -522,7 +535,7 @@ class BitMatrix:
         bit_offset = self._n_cols & 63
         padded = np.zeros((self.n_rows, bit_offset + n_extra), dtype=bool)
         padded[:, bit_offset:] = extra
-        packed_tail = _pack_bool_rows(padded)
+        packed_tail = pack_rows(padded)
         words = np.zeros(
             (self.n_rows, _n_words(new_universe)), dtype=_U64
         )
@@ -605,4 +618,6 @@ __all__ = [
     "BitMatrix",
     "flush_kernel_counters",
     "kernel_stats_snapshot",
+    "pack_rows",
+    "popcount_rows",
 ]

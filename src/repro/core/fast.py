@@ -13,18 +13,25 @@ materializing BST cells, by exploiting the structure of exclusion lists:
 
 There is one kernel.  Per-class state lives in the compiled plan's flat
 structure-of-arrays arena (:mod:`repro.core.plan`: fused pair weights,
-downcast dtypes, duplicate-outside-row culling), and
+downcast dtypes, packed gene words), and
 :meth:`FastBSTCEvaluator.classification_values_batch` evaluates blocks of
 ``_BATCH_BLOCK`` queries with one stacked matmul per class — or, for sparse
-serving batches, one small matmul per query over only its expressed genes —
-plus a segment reduction over the non-blank cells.  A single query is a
-batch of one; the one strict parser, :mod:`repro.core.query`, reads it.
+serving batches, one small matmul per query over only its expressed genes.
+The cells then combine by the arithmetization: ``min`` (Algorithm 5) by
+a **threshold sweep** over packed gene words that never builds a cell
+(:func:`_sweep_rows`), ``product`` and ``mean`` by a segment reduction
+over a gathered stream of the non-blank cells
+(:meth:`FastBSTCEvaluator._stream_sums`).  A single query is a batch of
+one; the one strict parser, :mod:`repro.core.query`, reads it.
 
 Every intermediate count is small-integer float32 arithmetic (exact below
 2**24) and each query's cells accumulate in a fixed order, so a query's
 values do not depend on its batchmates, its position in the batch, or
 which matmul form the batch selected: the single rounding operation — the
-final ``sat / len`` division — always sees identical operands.
+final ``sat / len`` division — always sees identical operands.  The sweep
+visits outside rows by a strict key (value, then row), so its order is
+fixed too, and its float64 sums are exact at every size the paper's
+datasets reach (see :func:`_sweep_rows`).
 
 Evaluators are cached process-wide by :func:`get_evaluator`, keyed on the
 ``(dataset fingerprint, arithmetization)`` pair, so repeated CV phases and
@@ -41,6 +48,7 @@ import numpy as np
 
 from ..datasets.dataset import RelationalDataset
 from ..evaluation.timing import engine_counters
+from . import bitset
 from .arithmetization import get_combiner
 from .plan import EvaluationPlan, PlanClass, compile_plan, recompile_delta
 from .query import Query, as_query_matrix
@@ -57,6 +65,74 @@ _SPARSE_MIN_ITEMS = 256
 #: expressed columns instead of one stacked full-width matmul.  Exact
 #: either way (the skipped terms are exact ``+0.0``); purely a cost model.
 _PER_QUERY_SPARSITY = 8
+#: Keys ordered by the ``min`` sweep's first round; each later round doubles
+#: the ordered prefix, so a row that stops early never pays a full sort.
+_SWEEP_FIRST_ROUND = 16
+
+
+def _sweep_rows(
+    values: np.ndarray,
+    need: np.ndarray,
+    remaining: np.ndarray,
+    outside_words: np.ndarray,
+) -> np.ndarray:
+    """The ``min`` threshold sweep over a chunk of (inside row, query) rows.
+
+    ``values`` holds each row's float32 pair values over the outside rows,
+    ``need`` its packed genes S and ``remaining`` their count; ``need`` and
+    ``remaining`` are consumed.  The outside rows are visited in the order
+    of the strict key ``(float32 bits of v) << 32 | h`` — non-negative
+    float32 bit patterns are monotone, so the key orders by value, then by
+    row — and each adds ``v · |S ∩ h|`` over the genes of S it covers
+    first, then clears them from S.  The keys are ordered in doubling
+    rounds: each partitions the keys not yet visited at the round's width
+    and sorts only that prefix.  A row whose S is empty adds exact zeros
+    until the round ends and drops it; the sweep stops once every S is
+    empty.  Because the key is strict, every round extends the one total
+    order, so a row's steps do not depend on where a round boundary or a
+    chunk boundary falls.
+
+    Each step adds ``v · count`` in float64.  Every nonzero pair value is
+    a float32 no smaller than ``1 / L`` (``L`` the largest pair-list
+    length), hence a multiple of ``2**-(23 + ceil(log2 L))``, and a row's
+    sum is at most its gene count ``G``; so while ``G · L < 2**29`` every
+    product and partial sum is exact in float64, and the sweep's sum
+    equals the per-cell minima summed in any order, bit for bit.  Past
+    that bound the sum may round, but in a fixed order per row.
+    """
+    n_rows, n_o = values.shape
+    keys = values.view(np.uint32).astype(np.int64)
+    keys <<= 32
+    keys |= np.arange(n_o, dtype=np.int64)
+    sums = np.zeros(n_rows, dtype=np.float64)
+    live = np.arange(n_rows)  # output position of each live state row
+    total = np.zeros(n_rows, dtype=np.float64)
+    done, end = 0, _SWEEP_FIRST_ROUND
+    while live.size and done < n_o:
+        end = min(end, n_o)
+        tail = keys[:, done:]
+        if end < n_o:
+            tail.partition(end - done - 1, axis=1)
+        head = tail[:, : end - done]
+        head.sort(axis=1)
+        rows_h = head & 0xFFFFFFFF
+        step_v = (head >> 32).astype(np.uint32).view(np.float32)
+        for k in range(end - done):
+            covered = need & outside_words[rows_h[:, k]]
+            count = bitset.popcount_rows(covered)
+            need ^= covered
+            total += step_v[:, k] * count  # float64: exact (see above)
+            remaining -= count
+            if not remaining.any():
+                break
+        finished = remaining == 0
+        sums[live[finished]] = total[finished]
+        keep = ~finished
+        live, keys, need, remaining, total = (
+            a[keep] for a in (live, keys, need, remaining, total)
+        )
+        done, end = end, 2 * end
+    return sums
 
 
 class FastBSTCEvaluator:
@@ -215,18 +291,114 @@ class FastBSTCEvaluator:
             )
         return values.astype(np.float32, copy=False)
 
-    def _reduce_segments(
-        self, gathered: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+    def _min_sweep_sums(
+        self, pc: PlanClass, pair_values: np.ndarray, swept: np.ndarray
     ) -> np.ndarray:
-        """Combine contiguous pair-value segments (one per non-blank,
-        non-black-dot cell) of a flat stream — the arithmetization applied
-        without any dense masking."""
-        if self.arithmetization == "min":
-            return np.minimum.reduceat(gathered, starts)
-        if self.arithmetization == "product":
-            return np.multiply.reduceat(gathered, starts)
-        sums = np.add.reduceat(gathered, starts)
-        return sums / lengths
+        """Σ over every (query b, inside row c) of the ``min`` cell values
+        of its swept genes — ``S = inside[c] ∧ swept[b]``, the relevant
+        genes some outside row expresses — as a ``(B, n_c)`` float64 block.
+
+        Cell ``(c, g)`` is the minimum of V[c, b, h] over the outside rows
+        ``h`` expressing ``g``: the value of the first such row in ascending
+        value order.  So the row's sum is Σₖ vₖ · (genes of S first covered
+        by outside row k), which :func:`_sweep_rows` accumulates without
+        building a cell, in chunks of rows under ``_CELL_BUDGET``.
+        """
+        n_c, n_b, n_o = pair_values.shape
+        n_rows = n_c * n_b
+        query_words = bitset.pack_rows(swept)  # (B, n_words)
+        need = (
+            pc.inside_words[:, None, :] & query_words[None, :, :]
+        ).reshape(n_rows, -1)
+        remaining = bitset.popcount_rows(need)
+        sums = np.zeros(n_rows, dtype=np.float64)
+        rows = np.flatnonzero(remaining)
+        values = pair_values.reshape(n_rows, n_o)
+        chunk = max(1, _CELL_BUDGET // (n_o + need.shape[1]))
+        for start in range(0, rows.size, chunk):
+            idx = rows[start : start + chunk]
+            sums[idx] = _sweep_rows(
+                values[idx], need[idx], remaining[idx], pc.outside_words
+            )
+        return sums.reshape(n_c, n_b).T
+
+    def _stream_sums(
+        self, pc: PlanClass, pair_values: np.ndarray, swept: np.ndarray
+    ) -> np.ndarray:
+        """Σ over every (query b, inside row c) of the ``product``/``mean``
+        cell values of its swept genes, as a ``(B, n_c)`` float64 block.
+
+        The cells are enumerated from the inside CSR: each (query, gene,
+        inside row) cell is one contiguous segment — the outside rows
+        expressing its gene — of a flat gathered pair-value stream,
+        combined with a single ``reduceat`` per chunk.  Cell values
+        accumulate through one final ``bincount`` over the whole block, so
+        a query's sums see its cells in the same order whatever its
+        batchmates are and wherever the stream-budget chunking lands.  The
+        gathers run on the arena's downcast index dtypes (widened to int64
+        only for the flat-address arithmetic, which can exceed int32).
+        """
+        n_c, n_b, n_o = pair_values.shape
+        flat1 = pair_values.ravel()
+        ins_c = pc.inside_rows
+        ins_offsets = pc.inside_row_offsets
+        b_idx, g_idx = np.nonzero(swept)
+        # Every swept gene is relevant, so some inside row expresses it.
+        rows_per_seg = (
+            ins_offsets[g_idx + 1] - ins_offsets[g_idx]
+        ).astype(np.int64)
+        seg_lengths = pc.outside_counts[g_idx].astype(np.int64)
+        seg_stream = rows_per_seg * seg_lengths
+        cum_stream = np.cumsum(seg_stream)
+        n_segs = g_idx.size
+        code_chunks: List[np.ndarray] = []
+        val_chunks: List[np.ndarray] = []
+        stream_budget = max(1, _CELL_BUDGET >> 2)
+        start_seg = 0
+        while start_seg < n_segs:
+            base = int(cum_stream[start_seg]) - int(seg_stream[start_seg])
+            end_seg = int(
+                np.searchsorted(cum_stream, base + stream_budget, "left")
+            ) + 1
+            end_seg = min(max(end_seg, start_seg + 1), n_segs)
+            g_ch = g_idx[start_seg:end_seg]
+            b_ch = b_idx[start_seg:end_seg]
+            rc_ch = rows_per_seg[start_seg:end_seg]
+            len_ch = seg_lengths[start_seg:end_seg]
+            cum_rc = np.cumsum(rc_ch)
+            n_cells = int(cum_rc[-1])
+            cell_seg = np.repeat(np.arange(end_seg - start_seg), rc_ch)
+            cell_row = ins_c[
+                np.arange(n_cells, dtype=np.int64)
+                - np.repeat(cum_rc - rc_ch, rc_ch)
+                + np.repeat(ins_offsets[g_ch].astype(np.int64), rc_ch)
+            ].astype(np.int64)
+            cell_len = len_ch[cell_seg]
+            cum_e = np.cumsum(cell_len)
+            e_starts = cum_e - cell_len
+            total_e = int(cum_e[-1])
+            h_base = pc.h_offsets[g_ch].astype(np.int64)[cell_seg]
+            pos = np.arange(total_e, dtype=np.int64) + np.repeat(
+                h_base - e_starts, cell_len
+            )
+            # Class-major flat layout: cell (c, b, h) lives at
+            # c·(B·n_o) + b·n_o + h.
+            cell_base = cell_row * (n_b * n_o) + b_ch[cell_seg] * n_o
+            flat_idx = np.repeat(cell_base, cell_len) + pc.h_flat[pos]
+            gathered = flat1[flat_idx]
+            if self.arithmetization == "product":
+                cell_vals = np.multiply.reduceat(gathered, e_starts)
+            else:
+                sums = np.add.reduceat(gathered, e_starts)
+                cell_vals = sums / cell_len.astype(np.float32)
+            code_chunks.append(b_ch[cell_seg] * n_c + cell_row)
+            val_chunks.append(cell_vals.astype(np.float64))
+            start_seg = end_seg
+        return np.bincount(
+            np.concatenate(code_chunks),
+            weights=np.concatenate(val_chunks),
+            minlength=n_b * n_c,
+        ).reshape(n_b, n_c)
 
     def _class_values_block_plan(
         self, pc: PlanClass, qmat: np.ndarray
@@ -234,17 +406,11 @@ class FastBSTCEvaluator:
         """BSTCE values of one class for a block of stacked queries.
 
         Column counts and black-dot contributions are two batched matmuls.
-        The remaining cells reduce over *only* the non-blank (query, gene,
-        inside-row) combinations, enumerated from the inside CSR: each such
-        cell is one contiguous segment — the (duplicate-culled, under
-        ``min``) outside rows expressing its gene — of a flat gathered
-        pair-value stream, combined with a single ``reduceat`` per chunk.
-        Cell values accumulate through one final ``bincount`` over the whole
-        block, so a query's column sums see its cells in the same order
-        whatever its batchmates are and wherever the stream-budget chunking
-        lands.  The gathers run on the arena's downcast index dtypes
-        (widened to int64 only for the flat-address arithmetic, which can
-        exceed int32).
+        The remaining cells — relevant genes some outside row expresses —
+        combine their pair values by the arithmetization: ``min`` by the
+        threshold sweep (:meth:`_min_sweep_sums`), ``product`` and ``mean``
+        by segment reductions over a gathered stream
+        (:meth:`_stream_sums`).
         """
         n_b = qmat.shape[0]
         values = np.zeros(n_b, dtype=np.float64)
@@ -257,81 +423,13 @@ class FastBSTCEvaluator:
             (relevant & pc.blackdot_mask).astype(np.float32)
             @ pc.inside_f.T
         ).astype(np.float64)
-        n_c, n_o = pc.inside.shape[0], pc.outside.shape[0]
-        b_idx, g_idx = np.nonzero(relevant & (pc.outside_counts > 0))
-        if b_idx.size:
+        swept = relevant & ~pc.blackdot_mask
+        if swept.any():
             pair_values = self._pair_values_block_plan(pc, qmat)  # (n_c, B, n_o)
-            flat1 = pair_values.ravel()
-            ins_c = pc.inside_rows
-            ins_offsets = pc.inside_row_offsets
-            rows_per_seg = (
-                ins_offsets[g_idx + 1] - ins_offsets[g_idx]
-            ).astype(np.int64)
-            keep = rows_per_seg > 0
-            if not keep.all():
-                b_idx = b_idx[keep]
-                g_idx = g_idx[keep]
-                rows_per_seg = rows_per_seg[keep]
-        if b_idx.size:
-            seg_lengths = pc.outside_counts[g_idx].astype(np.int64)
-            seg_stream = rows_per_seg * seg_lengths
-            cum_stream = np.cumsum(seg_stream)
-            n_segs = g_idx.size
-            code_chunks: List[np.ndarray] = []
-            val_chunks: List[np.ndarray] = []
-            stream_budget = max(1, _CELL_BUDGET >> 2)
-            start_seg = 0
-            while start_seg < n_segs:
-                base = int(cum_stream[start_seg]) - int(seg_stream[start_seg])
-                end_seg = int(
-                    np.searchsorted(cum_stream, base + stream_budget, "left")
-                ) + 1
-                end_seg = min(max(end_seg, start_seg + 1), n_segs)
-                g_ch = g_idx[start_seg:end_seg]
-                b_ch = b_idx[start_seg:end_seg]
-                rc_ch = rows_per_seg[start_seg:end_seg]
-                len_ch = seg_lengths[start_seg:end_seg]
-                cum_rc = np.cumsum(rc_ch)
-                n_cells = int(cum_rc[-1])
-                cell_seg = np.repeat(np.arange(end_seg - start_seg), rc_ch)
-                cell_row = ins_c[
-                    np.arange(n_cells, dtype=np.int64)
-                    - np.repeat(cum_rc - rc_ch, rc_ch)
-                    + np.repeat(
-                        ins_offsets[g_ch].astype(np.int64), rc_ch
-                    )
-                ].astype(np.int64)
-                cell_len = len_ch[cell_seg]
-                cum_e = np.cumsum(cell_len)
-                e_starts = cum_e - cell_len
-                total_e = int(cum_e[-1])
-                h_base = pc.h_offsets[g_ch].astype(np.int64)[cell_seg]
-                pos = np.arange(total_e, dtype=np.int64) + np.repeat(
-                    h_base - e_starts, cell_len
-                )
-                # Class-major flat layout: cell (c, b, h) lives at
-                # c·(B·n_o) + b·n_o + h.
-                cell_base = cell_row * (n_b * n_o) + b_ch[cell_seg] * n_o
-                flat_idx = np.repeat(cell_base, cell_len) + pc.h_flat[pos]
-                cell_vals = self._reduce_segments(
-                    flat1[flat_idx], e_starts, cell_len.astype(np.float32)
-                ).astype(np.float64)
-                code_chunks.append(b_ch[cell_seg] * n_c + cell_row)
-                val_chunks.append(cell_vals)
-                start_seg = end_seg
-            codes = (
-                code_chunks[0]
-                if len(code_chunks) == 1
-                else np.concatenate(code_chunks)
-            )
-            vals = (
-                val_chunks[0]
-                if len(val_chunks) == 1
-                else np.concatenate(val_chunks)
-            )
-            col_sum += np.bincount(
-                codes, weights=vals, minlength=n_b * n_c
-            ).reshape(n_b, n_c)
+            if self.arithmetization == "min":
+                col_sum += self._min_sweep_sums(pc, pair_values, swept)
+            else:
+                col_sum += self._stream_sums(pc, pair_values, swept)
         nonblank = col_count > 0
         safe_count = np.where(nonblank, col_count, 1.0)
         column_means = np.where(nonblank, col_sum / safe_count, 0.0)

@@ -18,25 +18,34 @@ the BSTCE kernel (:mod:`repro.core.fast`) evaluates from:
   :data:`FLOAT32_EXACT_MAX` falls back to the wide dtype and increments
   ``plan_wide_index_fallbacks`` / ``plan_wide_float_fallbacks`` — never a
   silent wrap.
-* **Serving-time culling** — under the ``min`` arithmetization the
-  gene-major outside-row stream drops exact-duplicate outside rows
-  (:func:`repro.bst.culling.duplicate_row_keep_mask`): duplicates carry
-  identical pair values in every cell, and ``min`` is idempotent, so the
-  culled segment reduction is bit-identical while skipping the dropped
-  references entirely (``plan_culled_refs`` counts them).  The general
-  Section 8 implication cull is *not* applied here — it changes quantized
-  values — and ``product``/``mean`` plans keep the full stream.
+* **Compile-time culling** — under the ``min`` arithmetization the
+  gene-major outside-row stream (``h_flat``/``h_offsets``) drops
+  exact-duplicate outside rows
+  (:func:`repro.bst.culling.duplicate_row_keep_mask`; ``plan_culled_refs``
+  counts the dropped references): duplicates carry identical pair values
+  in every cell, and ``min`` is idempotent.  The ``min`` kernel
+  evaluates by the threshold sweep over packed gene words and does not
+  read the stream; the ``product``/``mean`` segment reductions do, and
+  their plans keep the full stream.  The general Section 8 implication
+  cull is *not* applied — it changes quantized values.
 
 Every per-class array is a **view** into one flat arena member per field,
 so a model artifact stores one contiguous payload per field
 (``arena_<field>``) plus a tiny int64 geometry table, and a memory-mapped
 load rebuilds all views without copying a byte
-(:func:`plan_from_arena`).
+(:func:`plan_from_arena`).  The one derived, non-arena state is each
+class's inside and outside rows packed into ``uint64`` gene words
+(:attr:`PlanClass.inside_words`/:attr:`PlanClass.outside_words`, one bit
+per gene, 1/8 of the bool blocks) for the kernel's ``min`` threshold
+sweep: each class packs them once, on the first ``min`` query, from its
+arena views, so a cold compile and an artifact load derive them the same
+way and the artifact format does not carry them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +55,7 @@ from ..bst.culling import (
     duplicate_row_keep_mask_blocks,
 )
 from ..evaluation.timing import engine_counters
+from .bitset import pack_rows
 
 __all__ = [
     "ARENA_FIELDS",
@@ -111,6 +121,20 @@ class PlanClass:
     h_offsets: np.ndarray    # (n_items,): start of each gene in h_flat
     inside_rows: np.ndarray  # (ir_len,): inside rows per gene, gene-major
     inside_row_offsets: np.ndarray  # (n_items + 1,): CSR offsets
+
+    # Derived on first use by the ``min`` sweep, never stored in the arena:
+    # packing at plan build would charge every compile, delta recompile and
+    # load (and every ``product``/``mean`` plan) for words only ``min``
+    # queries read.
+    @cached_property
+    def inside_words(self) -> np.ndarray:
+        """``inside`` packed into uint64 gene words, ``(n_c, n_words)``."""
+        return pack_rows(self.inside)
+
+    @cached_property
+    def outside_words(self) -> np.ndarray:
+        """``outside`` packed into uint64 gene words, ``(n_o, n_words)``."""
+        return pack_rows(self.outside)
 
 
 @dataclass

@@ -27,6 +27,10 @@ import pytest
 from repro.datasets.dataset import RelationalDataset, running_example
 from repro.datasets.profiles import DatasetProfile
 
+#: The tier-1 tolerance between the vectorized kernel and the Algorithm 5
+#: oracle (:mod:`repro.core.bstce`).
+ORACLE_ATOL = 1e-5
+
 _TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "0") or "0")
 _COUNTER_DUMP = os.environ.get("REPRO_COUNTER_DUMP", "")
 

@@ -528,6 +528,31 @@ class TestSwarPopcount:
                 words
             )
 
+    def test_swar_row_counts_match_native(self):
+        from repro.core.bitset import (
+            BitMatrix,
+            _native_popcount_rows,
+            _swar_popcount_rows,
+        )
+
+        rng = np.random.default_rng(11)
+        # Packed rows, whose tail words are clipped to the universe.
+        for n_rows, n_cols in ((0, 5), (3, 0), (1, 1), (7, 63), (5, 64),
+                               (9, 65), (4, 130), (50, 1000)):
+            dense = rng.random((n_rows, n_cols)) < 0.5
+            words = BitMatrix.from_bool(dense).words
+            expected = dense.sum(axis=1)
+            for count_rows in (_swar_popcount_rows, _native_popcount_rows):
+                counts = count_rows(words)
+                assert counts.dtype == np.int64
+                assert np.array_equal(counts, expected)
+        # Raw words, all 64 bits in play.
+        for shape in ((1, 1), (6, 3), (40, 17), (2, 5, 9)):
+            words = rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+            assert np.array_equal(
+                _swar_popcount_rows(words), _native_popcount_rows(words)
+            )
+
     def test_force_swar_env_toggle(self):
         import subprocess
         import sys
@@ -535,8 +560,11 @@ class TestSwarPopcount:
         script = (
             "from repro.core import bitset\n"
             "assert bitset._popcount_words is bitset._swar_popcount_words\n"
+            "assert bitset.popcount_rows is bitset._swar_popcount_rows\n"
             "b = bitset.BitSet.from_indices(130, {1, 5, 63, 64})\n"
             "assert len(b) == 4\n"
+            "m = bitset.BitMatrix.from_sets([{1, 5, 63, 64}, set()], 130)\n"
+            "assert m.row_counts().tolist() == [4, 0]\n"
             "print('forced-swar-ok')\n"
         )
         import os
@@ -557,3 +585,4 @@ class TestSwarPopcount:
 
         if hasattr(np, "bitwise_count") and not bitset._FORCE_SWAR:
             assert bitset._popcount_words is bitset._native_popcount_words
+            assert bitset.popcount_rows is bitset._native_popcount_rows

@@ -6,11 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import ORACLE_ATOL
 from repro.bst.table import build_all_bsts
+from repro.core import bitset
+from repro.core import fast as fast_module
 from repro.core.arithmetization import COMBINERS
 from repro.core.bstce import bstce
 from repro.core.classifier import BSTClassifier
-from repro.core.fast import _BATCH_BLOCK, FastBSTCEvaluator
+from repro.core.fast import _BATCH_BLOCK, _SWEEP_FIRST_ROUND, FastBSTCEvaluator
 from repro.datasets.dataset import RelationalDataset, running_example
 from repro.errors import QueryError
 from repro.evaluation.timing import EngineCounters
@@ -246,3 +249,128 @@ class TestBatchComposition:
             assert np.array_equal(
                 fast.classification_values(queries[i]), batch[i]
             )
+
+
+def _sweep_checked(dataset, queries):
+    """``min`` values of a boolean query matrix, checked against the
+    Algorithm 5 oracle and, row by row, against single-query calls (bit
+    for bit)."""
+    fast = FastBSTCEvaluator(dataset, "min")
+    batch = fast.classification_values_batch(queries)
+    oracle = BSTClassifier("min", engine="reference").fit(dataset)
+    np.testing.assert_allclose(
+        batch,
+        oracle.classification_values_batch(
+            [frozenset(np.flatnonzero(q).tolist()) for q in queries]
+        ),
+        atol=ORACLE_ATOL,
+    )
+    for query, row in zip(queries, batch):
+        assert np.array_equal(fast.classification_values(query), row)
+    return batch
+
+
+def _tied_dataset(rng, n_outside):
+    """One inside row over genes ``0..n_outside-1``; outside row ``j``
+    expresses gene ``j`` plus two private genes.  Each shared gene is
+    covered by exactly one outside row, so a sweep that skips or repeats a
+    row loses that gene's minimum.  The outside rows are shuffled so row
+    order and gene order disagree."""
+    n_items = 3 * n_outside
+    inside = np.zeros((1, n_items), dtype=bool)
+    inside[0, :n_outside] = True
+    outside = np.zeros((n_outside, n_items), dtype=bool)
+    for j in range(n_outside):
+        outside[j, [j, n_outside + 2 * j, n_outside + 2 * j + 1]] = True
+    outside = outside[rng.permutation(n_outside)]
+    return RelationalDataset.from_bool_matrix(
+        np.vstack([inside, outside]),
+        [0] + [1] * n_outside,
+        class_names=["in", "out"],
+    )
+
+
+class TestMinSweep:
+    """Edge cases of the ``min`` threshold sweep, each against the oracle
+    and single == batch row."""
+
+    def test_ties_across_a_round_boundary(self):
+        rng = np.random.default_rng(5)
+        n_outside = 4 * _SWEEP_FIRST_ROUND + 8
+        dataset = _tied_dataset(rng, n_outside)
+        # Every shared gene, plus one private gene of a subset of the
+        # outside rows: those rows take pair value 1/2, the others 1, so
+        # the tie at 1/2 straddles the rounds' widths.
+        queries = np.zeros((8, dataset.n_items), dtype=bool)
+        queries[:, :n_outside] = True
+        halves = rng.random((8, n_outside)) < np.linspace(0.2, 0.9, 8)[:, None]
+        queries[:, n_outside::2] = halves
+        batch = _sweep_checked(dataset, queries)
+        expected = (n_outside - 0.5 * halves.sum(axis=1)) / n_outside
+        assert np.array_equal(batch[:, 0], expected)
+
+    def test_duplicate_outside_rows(self):
+        rng = np.random.default_rng(8)
+        matrix = rng.random((48, 40)) < 0.4
+        matrix[10:30] = matrix[9]  # twenty copies of one outside row
+        labels = np.ones(48, dtype=int)
+        labels[:9] = 0
+        dataset = RelationalDataset.from_bool_matrix(
+            matrix, labels.tolist(), class_names=["a", "b"]
+        )
+        _sweep_checked(dataset, rng.random((6, 40)) < 0.5)
+
+    def test_query_with_no_relevant_genes(self):
+        matrix = np.zeros((6, 8), dtype=bool)
+        matrix[:3, :4] = np.array(
+            [[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 1]], dtype=bool
+        )
+        matrix[3:, 2:] = True
+        dataset = RelationalDataset.from_bool_matrix(
+            matrix, [0, 0, 0, 1, 1, 1], class_names=["a", "b"]
+        )
+        queries = np.zeros((3, 8), dtype=bool)
+        queries[1, 4:] = True  # only genes class "a" never expresses
+        queries[2, [0, 5]] = True
+        batch = _sweep_checked(dataset, queries)
+        assert batch[0].tolist() == [0.0, 0.0]
+        assert batch[1, 0] == 0.0
+
+    def test_class_with_zero_outside_rows(self):
+        rng = np.random.default_rng(9)
+        matrix = rng.random((7, 12)) < 0.5
+        dataset = RelationalDataset.from_bool_matrix(
+            matrix, [0] * 7, class_names=["all", "none"]
+        )
+        batch = _sweep_checked(dataset, rng.random((5, 12)) < 0.5)
+        assert set(batch[:, 1].tolist()) == {0.0}
+
+    def test_block_split_into_chunks(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        matrix = rng.random((40, 60)) < 0.35
+        labels = rng.integers(0, 3, 40)
+        labels[:3] = (0, 1, 2)
+        dataset = RelationalDataset.from_bool_matrix(
+            matrix, labels.tolist(), class_names=["a", "b", "c"]
+        )
+        queries = rng.random((20, 60)) < 0.5
+        whole = _sweep_checked(dataset, queries)
+        for budget in (1, 200):  # one row per chunk, then a few rows
+            monkeypatch.setattr(fast_module, "_CELL_BUDGET", budget)
+            assert np.array_equal(_sweep_checked(dataset, queries), whole)
+
+    def test_counts_go_through_the_bitset_primitive(self, monkeypatch):
+        dataset = _tied_dataset(np.random.default_rng(6), 20)
+        query = np.ones((1, dataset.n_items), dtype=bool)
+        fast = FastBSTCEvaluator(dataset, "min")
+        expected = fast.classification_values_batch(query)
+        calls = []
+        primitive = bitset.popcount_rows
+
+        def counted(words):
+            calls.append(words.shape)
+            return primitive(words)
+
+        monkeypatch.setattr(bitset, "popcount_rows", counted)
+        assert np.array_equal(fast.classification_values_batch(query), expected)
+        assert calls, "the min kernel counted bits without popcount_rows"

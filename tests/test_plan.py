@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_relational
+from conftest import ORACLE_ATOL, random_relational
 from repro.bst.culling import duplicate_row_keep_mask
 from repro.bst.table import build_all_bsts
 from repro.core.arithmetization import COMBINERS
@@ -18,9 +18,6 @@ from repro.core import plan as plan_module
 from repro.core.plan import ARENA_FIELDS, FLOAT32_EXACT_MAX
 from repro.datasets.dataset import RelationalDataset
 from repro.evaluation.timing import engine_counters
-
-#: The tier-1 tolerance between the vectorized kernel and the oracle.
-ORACLE_ATOL = 1e-5
 
 
 @pytest.fixture(autouse=True)
