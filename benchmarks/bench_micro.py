@@ -51,12 +51,14 @@ BENCH_SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 #: may not exceed ``_SLACK`` x (bytes: 1x) their reference, rates may not
 #: fall below reference / ``_SLACK``.  The bounds are enforced outside
 #: REPRO_BENCH_SMOKE only (the smoke profiles are smaller, and shared CI
-#: runners are not the reference machine).
+#: runners are not the reference machine).  ``plan_hot_bytes`` is the
+#: 8-member arena (format v3), so an arena that grows back toward the
+#: 13-member layout (28,851,506 B on this profile) fails.
 _REFERENCE = {
     "batched_bstce_ms_per_query": 0.0688,
     "plan_kernel_batch_ms": 522.3,
     "pc_kernel_ms_per_query": 1.9,
-    "plan_hot_bytes": 28_851_506,
+    "plan_hot_bytes": 23_348_870,
     "artifact_cold_start_ms": 61.1,
     "service_threaded_qps": 29.7,
     "registry_aggregate_qps": 58.2,
@@ -790,8 +792,9 @@ def test_incremental_append_speedup():
     delta path (``FastBSTCEvaluator.append_rows`` →
     ``recompile_delta``) reuses every block the new rows do not touch and
     runs matmuls only over the appended slice.  Gate: the delta path must
-    be >= 5x faster (best of 3 each; relaxed under REPRO_BENCH_SMOKE).
-    The bit-identity checks — identical arena bytes, geometry, dtypes and
+    be >= 5x faster (best of 5 each, timed alternately so a burst of CPU
+    contention hits both sides; relaxed under REPRO_BENCH_SMOKE).  The
+    bit-identity checks — identical arena bytes, geometry, dtypes and
     predictions versus the cold rebuild — always gate.
     """
     from repro.core.plan import ARENA_FIELDS
@@ -838,8 +841,10 @@ def test_incremental_append_speedup():
         delta_eval.classification_values_batch(batch),
     )
 
-    cold_seconds = _best_of(3, cold_rebuild)
-    delta_seconds = _best_of(3, delta_append)
+    cold_seconds = delta_seconds = float("inf")
+    for _ in range(5):
+        cold_seconds = min(cold_seconds, _best_of(1, cold_rebuild))
+        delta_seconds = min(delta_seconds, _best_of(1, delta_append))
     clear_evaluator_cache()
 
     speedup = cold_seconds / delta_seconds

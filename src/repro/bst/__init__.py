@@ -10,16 +10,6 @@ __all__ = [
     "mine_mcmcbar", "mine_mcmcbar_per_sample",
 ]
 
-from .culling import (
-    cull_bst,
-    cull_cell_lists,
-    culling_ratio,
-    duplicate_row_keep_mask,
-)
+from .culling import cull_bst, cull_cell_lists, culling_ratio
 
-__all__ += [
-    "cull_bst",
-    "cull_cell_lists",
-    "culling_ratio",
-    "duplicate_row_keep_mask",
-]
+__all__ += ["cull_bst", "cull_cell_lists", "culling_ratio"]

@@ -9,7 +9,7 @@ start.  This module removes that cost from the serving path:
   plan** (:mod:`repro.core.plan`) — one flat ``arena_<field>`` member per
   structure-of-arrays field plus a tiny int64 geometry table — alongside
   the arithmetization, the training-data fingerprint and a format version,
-  in a single uncompressed ``.npz`` file (format v2);
+  in a single uncompressed ``.npz`` file (format v3);
 * :func:`load_artifact` reconstructs a working evaluator **without rebuilding
   any table**: every stored array is memory-mapped straight out of the zip
   archive (``np.savez`` stores members uncompressed, so each embedded ``.npy``
@@ -17,8 +17,10 @@ start.  This module removes that cost from the serving path:
   directly) and the per-class plan views are rebuilt over the mapped arena
   without copying a byte.  Cold start becomes a zip-directory parse plus a
   few header reads; arena pages fault in lazily as the first queries touch
-  them.  Format v1 files (the old per-class table layout) are refused with
-  an :class:`ArtifactError` that says to refit and re-save the model.
+  them.  Files of an older format (v1: per-class tables; v2: an arena
+  that also stored the ``product``/``mean`` gather lists, now derived on
+  first use) are refused with an :class:`ArtifactError` that says to refit
+  and re-save the model.
 
 A loaded evaluator carries a :class:`DatasetSummary` instead of the full
 training :class:`~repro.datasets.dataset.RelationalDataset`: the evaluation
@@ -84,7 +86,7 @@ __all__ = [
 
 #: Bumped whenever the stored array layout changes incompatibly.  Loaders
 #: refuse every other version instead of guessing.
-ARTIFACT_FORMAT_VERSION = 2
+ARTIFACT_FORMAT_VERSION = 3
 
 
 #: Zip member carrying the per-member CRCs and the root digest.
@@ -160,7 +162,7 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
     The file is written uncompressed (``np.savez``) on purpose: compression
     would defeat the memory-mapped zero-copy load path, and boolean/float32
     arrays are already compact.  It stores the compiled evaluation plan
-    (format v2: the flat arena plus its geometry table).  Returns the path
+    (format v3: the flat arena plus its geometry table).  Returns the path
     written.
     """
     dataset = evaluator.dataset
@@ -177,7 +179,6 @@ def save_artifact(evaluator: FastBSTCEvaluator, path: PathLike) -> Path:
         "meta_item_names": np.array(list(dataset.item_names)),
         "meta_class_names": np.array(list(dataset.class_names)),
         "meta_plan_geometry": np.ascontiguousarray(plan.geometry),
-        "meta_plan_culled_refs": np.array(plan.culled_refs, dtype=np.int64),
     }
     for name in ARENA_FIELDS:
         arrays[f"arena_{name}"] = np.ascontiguousarray(plan.arena[name])
@@ -595,9 +596,9 @@ class _ArtifactReader:
 # ----------------------------------------------------------------------
 
 
-#: Arena members whose dtype the kernels rely on structurally (the index
-#: and weight members may legitimately vary between the narrow and wide
-#: dtypes, so only their sizes are validated).
+#: Arena members whose dtype the kernels rely on structurally (``pair_len``
+#: may legitimately be float32 or the wide float64, so only its size is
+#: validated).
 _ARENA_FIXED_DTYPES: Dict[str, np.dtype] = {
     "inside": np.dtype(bool),
     "outside": np.dtype(bool),
@@ -609,7 +610,7 @@ _ARENA_FIXED_DTYPES: Dict[str, np.dtype] = {
 }
 
 
-def _load_v2_plan(
+def _load_plan(
     path: Path,
     reader: "_ArtifactReader",
     summary: DatasetSummary,
@@ -625,7 +626,6 @@ def _load_v2_plan(
             f"{path}: plan geometry has shape {tuple(geometry.shape)}, which"
             f" does not cover every class ({summary.n_classes})"
         )
-    culled_refs = int(reader.eager("meta_plan_culled_refs"))
     arena: Dict[str, np.ndarray] = {}
     try:
         for name in ARENA_FIELDS:
@@ -640,9 +640,7 @@ def _load_v2_plan(
             )
     with engine_counters.track("artifact_load"):
         try:
-            plan = plan_from_arena(
-                arena, geometry, summary.n_items, culled_refs=culled_refs
-            )
+            plan = plan_from_arena(arena, geometry, summary.n_items)
         except ValueError as exc:
             raise ArtifactError(f"{path}: {exc}") from exc
         return FastBSTCEvaluator._from_plan(summary, arithmetization, plan)
@@ -745,11 +743,11 @@ def load_artifact(
                 elif table_names:
                     deferred = (table_names, records, verify_offsets)
         version = int(reader.eager("meta_format_version"))
-        if version == 1:
+        if version < ARTIFACT_FORMAT_VERSION:
             raise ArtifactError(
-                f"{path}: artifact format version 1 (per-class tables) is no"
-                " longer readable; refit the model and re-save it to write"
-                f" format v{ARTIFACT_FORMAT_VERSION}"
+                f"{path}: artifact format {version} is older than this"
+                f" build's {ARTIFACT_FORMAT_VERSION}: refit the model and"
+                " re-save it"
             )
         if version != ARTIFACT_FORMAT_VERSION:
             raise ArtifactError(
@@ -790,7 +788,7 @@ def load_artifact(
             item_names=item_names,
             class_names=class_names,
         )
-        evaluator = _load_v2_plan(
+        evaluator = _load_plan(
             path, reader, summary, arithmetization, on_corrupt
         )
         # Lazy mode: the table payloads are checked by the first query that

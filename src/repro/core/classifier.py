@@ -184,7 +184,7 @@ class BSTClassifier:
         The artifact carries the compiled evaluation plan — one flat
         structure-of-arrays arena (:mod:`repro.core.plan`) — plus the
         arithmetization and the training-data fingerprint (see
-        :mod:`repro.core.artifact`; format v2).  Works under either engine —
+        :mod:`repro.core.artifact`; format v3).  Works under either engine —
         the compiled evaluator is fetched from the evaluator cache (built
         on demand for a reference-engine fit).  Returns the path written.
         """

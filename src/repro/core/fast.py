@@ -12,8 +12,8 @@ materializing BST cells, by exploiting the structure of exclusion lists:
   samples ``h`` expressing ``g`` (a black dot is the empty case, valued 1).
 
 There is one kernel.  Per-class state lives in the compiled plan's flat
-structure-of-arrays arena (:mod:`repro.core.plan`: fused pair weights,
-downcast dtypes, packed gene words), and
+structure-of-arrays arena (:mod:`repro.core.plan`: row blocks, fused
+pair weights, gene masks), and
 :meth:`FastBSTCEvaluator.classification_values_batch` evaluates blocks of
 ``_BATCH_BLOCK`` queries with one stacked matmul per class — or, for sparse
 serving batches, one small matmul per query over only its expressed genes.
@@ -21,8 +21,11 @@ The cells then combine by the arithmetization: ``min`` (Algorithm 5) by
 a **threshold sweep** over packed gene words that never builds a cell
 (:func:`_sweep_rows`), ``product`` and ``mean`` by a segment reduction
 over a gathered stream of the non-blank cells
-(:meth:`FastBSTCEvaluator._stream_sums`).  A single query is a batch of
-one; the one strict parser, :mod:`repro.core.query`, reads it.
+(:meth:`FastBSTCEvaluator._stream_sums`).  Each reads state its plan
+class derives from the arena on first use — packed words for ``min``,
+gene-major row lists for the stream — so neither is stored, and a model
+builds only what its own arithmetization reads.  A single query is a
+batch of one; the one strict parser, :mod:`repro.core.query`, reads it.
 
 Every intermediate count is small-integer float32 arithmetic (exact below
 2**24) and each query's cells accumulate in a fixed order, so a query's
@@ -149,7 +152,7 @@ class FastBSTCEvaluator:
         self.dataset = dataset
         self.arithmetization = arithmetization
         with engine_counters.track("plan_build"):
-            self._plan = compile_plan(dataset, arithmetization)
+            self._plan = compile_plan(dataset)
         #: Deferred artifact verification (set by ``load_artifact`` under
         #: ``verify="lazy"``); runs before the first query's kernel work.
         self._integrity_guard = None
@@ -198,10 +201,7 @@ class FastBSTCEvaluator:
         if self._integrity_guard is not None:
             self._integrity_guard()
         plan = recompile_delta(
-            self._plan,
-            dataset,
-            int(self.dataset.n_samples),
-            self.arithmetization,
+            self._plan, dataset, int(self.dataset.n_samples)
         )
         return FastBSTCEvaluator._from_plan(
             dataset, self.arithmetization, plan
@@ -328,26 +328,23 @@ class FastBSTCEvaluator:
         """Σ over every (query b, inside row c) of the ``product``/``mean``
         cell values of its swept genes, as a ``(B, n_c)`` float64 block.
 
-        The cells are enumerated from the inside CSR: each (query, gene,
-        inside row) cell is one contiguous segment — the outside rows
-        expressing its gene — of a flat gathered pair-value stream,
-        combined with a single ``reduceat`` per chunk.  Cell values
-        accumulate through one final ``bincount`` over the whole block, so
-        a query's sums see its cells in the same order whatever its
-        batchmates are and wherever the stream-budget chunking lands.  The
-        gathers run on the arena's downcast index dtypes (widened to int64
-        only for the flat-address arithmetic, which can exceed int32).
+        The cells are enumerated from the class's gene-major row lists
+        (:attr:`~repro.core.plan.PlanClass.gene_lists`, derived on first
+        use): each (query, gene, inside row) cell is one contiguous
+        segment — the outside rows expressing its gene — of a flat
+        gathered pair-value stream, combined with a single ``reduceat``
+        per chunk.  Cell values accumulate through one final ``bincount``
+        over the whole block, so a query's sums see its cells in the same
+        order whatever its batchmates are and wherever the stream-budget
+        chunking lands.
         """
         n_c, n_b, n_o = pair_values.shape
         flat1 = pair_values.ravel()
-        ins_c = pc.inside_rows
-        ins_offsets = pc.inside_row_offsets
+        out_rows, out_offsets, ins_c, ins_offsets = pc.gene_lists
         b_idx, g_idx = np.nonzero(swept)
         # Every swept gene is relevant, so some inside row expresses it.
-        rows_per_seg = (
-            ins_offsets[g_idx + 1] - ins_offsets[g_idx]
-        ).astype(np.int64)
-        seg_lengths = pc.outside_counts[g_idx].astype(np.int64)
+        rows_per_seg = ins_offsets[g_idx + 1] - ins_offsets[g_idx]
+        seg_lengths = out_offsets[g_idx + 1] - out_offsets[g_idx]
         seg_stream = rows_per_seg * seg_lengths
         cum_stream = np.cumsum(seg_stream)
         n_segs = g_idx.size
@@ -371,20 +368,20 @@ class FastBSTCEvaluator:
             cell_row = ins_c[
                 np.arange(n_cells, dtype=np.int64)
                 - np.repeat(cum_rc - rc_ch, rc_ch)
-                + np.repeat(ins_offsets[g_ch].astype(np.int64), rc_ch)
-            ].astype(np.int64)
+                + np.repeat(ins_offsets[g_ch], rc_ch)
+            ]
             cell_len = len_ch[cell_seg]
             cum_e = np.cumsum(cell_len)
             e_starts = cum_e - cell_len
             total_e = int(cum_e[-1])
-            h_base = pc.h_offsets[g_ch].astype(np.int64)[cell_seg]
+            h_base = out_offsets[g_ch][cell_seg]
             pos = np.arange(total_e, dtype=np.int64) + np.repeat(
                 h_base - e_starts, cell_len
             )
             # Class-major flat layout: cell (c, b, h) lives at
             # c·(B·n_o) + b·n_o + h.
             cell_base = cell_row * (n_b * n_o) + b_ch[cell_seg] * n_o
-            flat_idx = np.repeat(cell_base, cell_len) + pc.h_flat[pos]
+            flat_idx = np.repeat(cell_base, cell_len) + out_rows[pos]
             gathered = flat1[flat_idx]
             if self.arithmetization == "product":
                 cell_vals = np.multiply.reduceat(gathered, e_starts)

@@ -179,7 +179,7 @@ class TestValidation:
         with np.load(path) as npz:
             arrays = {k: npz[k] for k in npz.files}
         geometry = arrays["meta_plan_geometry"].copy()
-        geometry[0, 2] += 1  # claim one more h_flat reference than stored
+        geometry[0, 1] += 1  # claim one more outside row (n_o) than stored
         arrays["meta_plan_geometry"] = geometry
         bad = tmp_path / "bad.npz"
         with bad.open("wb") as handle:

@@ -1,6 +1,6 @@
 """Compiled evaluation plans: agreement with the Algorithm 5 oracle, the
-duplicate-row cull, dtype-downcast overflow guards, arena structure, and the
-artifact format version."""
+float32 weight guard, arena structure, the state each arithmetization
+derives on first use, and the artifact format version."""
 
 import warnings
 
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from conftest import ORACLE_ATOL, random_relational
-from repro.bst.culling import duplicate_row_keep_mask
 from repro.bst.table import build_all_bsts
 from repro.core.arithmetization import COMBINERS
 from repro.core.artifact import ArtifactError, load_artifact, save_artifact
@@ -29,7 +28,7 @@ def _fresh_cache():
 
 def _with_duplicates(rng, n_samples=10, n_items=16, n_classes=3):
     """A random dataset whose outside blocks contain exact-duplicate rows,
-    so the min-plan cull has something to drop."""
+    so cells repeat pair values (ties in the ``min`` sweep's order)."""
     while True:
         matrix = rng.random((n_samples, n_items)) < rng.uniform(0.2, 0.7)
         matrix[1] = matrix[0]
@@ -53,23 +52,10 @@ def _oracle(dataset, queries, arithmetization="min"):
     )
 
 
-def _unculled(monkeypatch, dataset, arithmetization="min"):
-    """An evaluator whose plan keeps every outside row (the cull disabled)."""
-    with monkeypatch.context() as patch:
-        patch.setattr(
-            plan_module,
-            "duplicate_row_keep_mask",
-            lambda rows: np.ones(rows.shape[0], dtype=bool),
-        )
-        evaluator = FastBSTCEvaluator(dataset, arithmetization)
-    assert evaluator.plan.culled_refs == 0
-    return evaluator
-
-
 class TestBitIdentity:
     """The compiled plan must agree with the Algorithm 5 oracle at the
     tier-1 tolerance across arithmetizations, batch sizes, sparsity regimes
-    and culled duplicate rows — and a single query must equal its batch row
+    and duplicate outside rows — and a single query must equal its batch row
     bit for bit."""
 
     @pytest.mark.parametrize("arithmetization", sorted(COMBINERS))
@@ -123,80 +109,12 @@ class TestBitIdentity:
             )
 
 
-class TestCulling:
-    def test_duplicate_row_keep_mask(self):
-        matrix = np.array(
-            [[1, 0], [1, 0], [0, 1], [1, 0], [0, 0]], dtype=bool
-        )
-        keep = duplicate_row_keep_mask(matrix)
-        assert keep.tolist() == [True, False, True, False, True]
-        assert duplicate_row_keep_mask(np.zeros((0, 3), dtype=bool)).size == 0
-
-    def test_min_plan_culls_duplicates(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        dataset = _with_duplicates(rng)
-        planned = FastBSTCEvaluator(dataset, "min")
-        assert planned.plan.culled_refs > 0
-        # The culled stream must produce exactly the unculled values.
-        unculled = _unculled(monkeypatch, dataset)
-        queries = rng.random((8, dataset.n_items)) < 0.5
-        values = planned.classification_values_batch(queries)
-        assert np.array_equal(
-            values, unculled.classification_values_batch(queries)
-        )
-        np.testing.assert_allclose(
-            values, _oracle(dataset, queries), atol=ORACLE_ATOL
-        )
-
-    @pytest.mark.parametrize("arithmetization", ["product", "mean"])
-    def test_non_idempotent_arithmetizations_keep_full_stream(
-        self, arithmetization
-    ):
-        # Dropping a duplicate changes a product/mean; those plans must not
-        # cull anything.
-        rng = np.random.default_rng(13)
-        dataset = _with_duplicates(rng)
-        planned = FastBSTCEvaluator(dataset, arithmetization)
-        assert planned.plan.culled_refs == 0
-
-    def test_culled_refs_counter(self):
-        rng = np.random.default_rng(17)
-        dataset = _with_duplicates(rng)
-        before = engine_counters.get("plan_culled_refs")
-        planned = FastBSTCEvaluator(dataset, "min")
-        assert (
-            engine_counters.get("plan_culled_refs")
-            == before + planned.plan.culled_refs
-        )
-
-    def test_explain_identical_under_culling(self, monkeypatch):
-        # A culled plan serves the same classification values, so the
-        # explanation machinery reports identical evidence.
-        rng = np.random.default_rng(19)
-        dataset = _with_duplicates(rng)
-        clf = BSTClassifier().fit(dataset)
-        assert clf._fast.plan.culled_refs > 0
-        query = frozenset(
-            int(i) for i in np.flatnonzero(rng.random(dataset.n_items) < 0.5)
-        )
-        explained_culled = clf.explain(query)
-        original_fast = clf._fast
-        try:
-            clf._fast = _unculled(monkeypatch, dataset)
-            explained_unculled = clf.explain(query)
-        finally:
-            clf._fast = original_fast
-        assert explained_culled == explained_unculled
-
-
 class TestDowncastGuards:
     def test_small_data_downcasts(self):
         rng = np.random.default_rng(23)
         dataset = random_relational(rng)
         planned = FastBSTCEvaluator(dataset)
-        assert planned.plan.index_dtype == np.dtype(np.int32)
         assert planned.plan.weight_dtype == np.dtype(np.float32)
-        assert planned.plan.arena["h_flat"].dtype == np.dtype(np.int32)
         assert planned.plan.arena["pair_len"].dtype == np.dtype(np.float32)
 
     def test_boundary_values_stay_exact_in_float32(self):
@@ -207,27 +125,6 @@ class TestDowncastGuards:
         )
         assert np.array_equal(
             lengths.astype(np.float32).astype(np.float64), lengths
-        )
-
-    def test_wide_index_fallback(self, monkeypatch):
-        # Force the guard: with the int32 ceiling lowered to zero, every
-        # index lands in the wide dtype (counted), and the kernel output is
-        # bit-identical to the narrow plan's — the fallback is a widening,
-        # never a wrap.
-        rng = np.random.default_rng(29)
-        dataset = random_relational(rng)
-        before = engine_counters.get("plan_wide_index_fallbacks")
-        with monkeypatch.context() as patch:
-            patch.setattr(plan_module, "INT32_MAX", 0)
-            wide = FastBSTCEvaluator(dataset)
-        assert wide.plan.index_dtype == np.dtype(np.int64)
-        assert engine_counters.get("plan_wide_index_fallbacks") == before + 1
-        narrow = FastBSTCEvaluator(dataset)
-        assert narrow.plan.index_dtype == np.dtype(np.int32)
-        queries = rng.random((9, dataset.n_items)) < 0.4
-        assert np.array_equal(
-            wide.classification_values_batch(queries),
-            narrow.classification_values_batch(queries),
         )
 
     def test_wide_weight_fallback_preserves_large_lengths(self):
@@ -241,18 +138,13 @@ class TestDowncastGuards:
         classes, expected = [], []
         for class_id in range(dataset.n_classes):
             member = labels == class_id
-            inside, outside = matrix[member], matrix[~member]
-            pair_len, pair_neg = plan_module._pair_weights(
-                inside.astype(np.float32), outside.astype(np.float32)
+            raw, geometry_row, _ = plan_module._cold_class(
+                matrix[member], matrix[~member]
             )
-            pair_len = pair_len.astype(np.float64) + big
+            pair_len = raw["pair_len"].astype(np.float64) + big
+            raw["pair_len"] = pair_len
             expected.append(pair_len)
-            classes.append(
-                plan_module._raw_for_class(
-                    class_id, inside, outside, pair_len, pair_neg,
-                    dataset.n_items, "min",
-                )
-            )
+            classes.append((raw, geometry_row, float(pair_len.max())))
         before = engine_counters.get("plan_wide_float_fallbacks")
         plan = plan_module._build_arena(classes, dataset.n_items)
         assert plan.weight_dtype == np.dtype(np.float64)
@@ -314,23 +206,88 @@ class TestArenaStructure:
             labels=(0, 2),
         )
         plan = FastBSTCEvaluator(dataset).plan
-        assert plan.geometry.shape == (3, 4)
+        assert plan.geometry.shape == (3, 2)
         assert plan.classes[1] is None
-        assert tuple(plan.geometry[1]) == (0, 0, 0, 0)
+        assert tuple(plan.geometry[1]) == (0, 0)
+        assert tuple(plan.geometry[0]) == (1, 1)
+
+    def test_arena_is_independent_of_arithmetization(self):
+        # One arena serves every arithmetization: the min, product and mean
+        # plans of a dataset are byte-identical, member by member.
+        rng = np.random.default_rng(43)
+        dataset = _with_duplicates(rng)
+        plans = [
+            FastBSTCEvaluator(dataset, arith).plan for arith in sorted(COMBINERS)
+        ]
+        assert len(ARENA_FIELDS) == 8
+        for plan in plans[1:]:
+            assert np.array_equal(plan.geometry, plans[0].geometry)
+            assert plan.geometry.dtype == plans[0].geometry.dtype
+            for name in ARENA_FIELDS:
+                assert plan.arena[name].dtype == plans[0].arena[name].dtype
+                assert (
+                    plan.arena[name].tobytes() == plans[0].arena[name].tobytes()
+                ), name
+
+
+class TestDerivedState:
+    """Each arithmetization derives the state it reads from the arena on
+    first use; none of it is stored, and a model builds only its own."""
+
+    @staticmethod
+    def _query(dataset, evaluator, seed):
+        rng = np.random.default_rng(seed)
+        queries = rng.random((12, dataset.n_items)) < 0.5
+        return evaluator.classification_values_batch(queries)
+
+    def test_min_queries_build_no_gene_lists(self):
+        rng = np.random.default_rng(47)
+        dataset = _with_duplicates(rng)
+        evaluator = FastBSTCEvaluator(dataset, "min")
+        self._query(dataset, evaluator, 48)
+        for pc in evaluator.plan.classes:
+            assert "inside_words" in pc.__dict__  # the sweep ran
+            assert "gene_lists" not in pc.__dict__
+
+    @pytest.mark.parametrize("arithmetization", ["product", "mean"])
+    def test_memmapped_stream_derives_identical_lists(
+        self, arithmetization, tmp_path
+    ):
+        # A product/mean model loaded from an artifact derives its gene
+        # lists from the memory-mapped arena and answers bit-identically
+        # to the in-memory evaluator it was saved from.
+        rng = np.random.default_rng(49)
+        dataset = _with_duplicates(rng, n_samples=14, n_items=24)
+        evaluator = FastBSTCEvaluator(dataset, arithmetization)
+        path = save_artifact(evaluator, tmp_path / "m.npz")
+        loaded = load_artifact(path)
+        assert isinstance(loaded.plan.arena["outside"], np.memmap)
+        assert all("gene_lists" not in pc.__dict__ for pc in loaded.plan.classes)
+        assert np.array_equal(
+            self._query(dataset, loaded, 50),
+            self._query(dataset, evaluator, 50),
+        )
+        for pc, ref in zip(loaded.plan.classes, evaluator.plan.classes):
+            assert "inside_words" not in pc.__dict__
+            for got, want in zip(pc.__dict__["gene_lists"], ref.gene_lists):
+                assert got.dtype == want.dtype == np.dtype(np.int64)
+                assert np.array_equal(got, want)
 
 
 class TestArtifactV1Fallback:
-    """Format v1 (per-class tables) no longer loads; v2 is the one format."""
+    """Older formats (v1 per-class tables, v2 arenas with stored gather
+    lists) no longer load; v3 is the one format."""
 
     def test_v2_round_trip_does_not_warn(self, tmp_path):
+        # The current format round-trips without a warning.
         rng = np.random.default_rng(59)
         dataset = random_relational(rng)
         evaluator = FastBSTCEvaluator(dataset)
-        path = save_artifact(evaluator, tmp_path / "m2.npz")
+        path = save_artifact(evaluator, tmp_path / "m3.npz")
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             loaded = load_artifact(path)
-        assert loaded.plan.culled_refs == evaluator.plan.culled_refs
+        assert np.array_equal(loaded.plan.geometry, evaluator.plan.geometry)
 
     @staticmethod
     def _with_version(path, version, tmp_path):
@@ -369,10 +326,46 @@ class TestArtifactV1Fallback:
             load_artifact(v1)
         assert v1.exists()  # a format error is not corruption
 
+    def test_v2_artifact_rejected_with_resave_hint(self, tmp_path):
+        # A v2 file in its own layout (4-column geometry, the culled-refs
+        # count and the five gather-list members beside the arena) is
+        # refused with the same typed, actionable error as v1.
+        rng = np.random.default_rng(61)
+        dataset = random_relational(rng)
+        evaluator = FastBSTCEvaluator(dataset, "product")
+        path = save_artifact(evaluator, tmp_path / "m.npz")
+        with np.load(path) as npz:
+            arrays = {k: npz[k] for k in npz.files}
+        arrays["meta_format_version"] = np.array(2, dtype=np.int64)
+        arrays["meta_plan_culled_refs"] = np.array(0, dtype=np.int64)
+        lists = [pc.gene_lists for pc in evaluator.plan.classes]
+        arrays["meta_plan_geometry"] = np.column_stack([
+            evaluator.plan.geometry,
+            [lst.outside_rows.size for lst in lists],
+            [lst.inside_rows.size for lst in lists],
+        ])
+        v2_members = {
+            "outside_counts": [np.diff(lst.outside_offsets) for lst in lists],
+            "h_flat": [lst.outside_rows for lst in lists],
+            "h_offsets": [lst.outside_offsets[:-1] for lst in lists],
+            "inside_rows": [lst.inside_rows for lst in lists],
+            "inside_row_offsets": [lst.inside_offsets for lst in lists],
+        }
+        for name, pieces in v2_members.items():
+            arrays[f"arena_{name}"] = np.concatenate(pieces).astype(np.int32)
+        v2 = tmp_path / "v2.npz"
+        with v2.open("wb") as handle:
+            np.savez(handle, **arrays)
+        with pytest.raises(
+            ArtifactError, match="format 2 is older .* refit .* re-save"
+        ):
+            load_artifact(v2)
+        assert v2.exists()  # a format error is not corruption
+
     def test_unknown_format_version_rejected(self, tmp_path):
         rng = np.random.default_rng(67)
         dataset = random_relational(rng)
         path = save_artifact(FastBSTCEvaluator(dataset), tmp_path / "x.npz")
-        future = self._with_version(path, 3, tmp_path)
-        with pytest.raises(ArtifactError, match="format version 3"):
+        future = self._with_version(path, 4, tmp_path)
+        with pytest.raises(ArtifactError, match="format version 4"):
             load_artifact(future)

@@ -12,7 +12,6 @@ to the arithmetization tests, not here.
 import numpy as np
 import pytest
 
-from repro.bst.culling import duplicate_row_keep_mask
 from repro.bst.table import build_all_bsts
 from repro.core.artifact import (
     ArtifactStale,
@@ -186,25 +185,6 @@ class TestVectorizedTransform:
         assert disc.transform_values(row) == disc._transform_values_scalar(row)
 
 
-class TestDuplicateRowCull:
-    def test_matches_unique_reference(self):
-        rng = np.random.default_rng(21)
-        for trial in range(20):
-            n, g = int(rng.integers(1, 40)), int(rng.integers(1, 30))
-            matrix = rng.random((n, g)) < 0.4
-            # Inject exact duplicates at random positions.
-            for _ in range(int(rng.integers(0, 5))):
-                matrix[rng.integers(n)] = matrix[rng.integers(n)]
-            keep = duplicate_row_keep_mask(matrix)
-            _, first = np.unique(matrix, axis=0, return_index=True)
-            expected = np.zeros(n, dtype=bool)
-            expected[first] = True
-            assert np.array_equal(keep, expected), trial
-
-    def test_empty(self):
-        assert duplicate_row_keep_mask(np.zeros((0, 4), dtype=bool)).size == 0
-
-
 class TestAppendOnlyBuild:
     @pytest.fixture
     def split(self):
@@ -226,7 +206,7 @@ class TestAppendOnlyBuild:
         _, base, grown = split
         clear_evaluator_cache()
         base_plan = FastBSTCEvaluator(base, arithmetization=arith).plan
-        delta = recompile_delta(base_plan, grown, base.n_samples, arith)
+        delta = recompile_delta(base_plan, grown, base.n_samples)
         clear_evaluator_cache()
         fresh = RelationalDataset(
             grown.item_names, grown.class_names, grown.samples, grown.labels
@@ -277,7 +257,7 @@ class TestAppendOnlyBuild:
             grown.item_names, grown.class_names, tuple(samples), grown.labels
         )
         with pytest.raises(ValueError, match="append-only extension"):
-            recompile_delta(base_plan, tampered, base.n_samples, "min")
+            recompile_delta(base_plan, tampered, base.n_samples)
 
     def test_append_fit_error_paths(self, split):
         full, base, grown = split
